@@ -7,11 +7,11 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <thread>
-#include <unordered_set>
 
 #include "runner/outcome.h"
 #include "runner/sink.h"
@@ -102,6 +102,39 @@ unsigned pool_width(int threads, std::size_t jobs) {
   return n;
 }
 
+double reference_cpu_s() {
+  static const std::vector<std::uint32_t> next = [] {
+    std::vector<std::uint32_t> t(std::size_t{1} << 16);
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (std::uint32_t& v : t) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      v = static_cast<std::uint32_t>(x) & 0xffff;
+    }
+    return t;
+  }();
+  timespec a{}, b{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &a);
+  std::uint32_t at = 0;
+  std::uint64_t acc = 0;
+  for (std::uint64_t s = 0; s < 2'000'000; ++s) {
+    at = next[at ^ (acc & 7)];
+    acc += at % 3 == 0 ? at : acc >> 3;
+  }
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &b);
+  static volatile std::uint64_t sink;
+  sink = acc;  // keeps the walk from being optimized away
+  return static_cast<double>(b.tv_sec - a.tv_sec) +
+         static_cast<double>(b.tv_nsec - a.tv_nsec) * 1e-9;
+}
+
+double process_cpu_s() {
+  timespec t{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &t);
+  return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_nsec) * 1e-9;
+}
+
 int load_width() {
   return static_cast<int>(pool_width(0, 4));
 }
@@ -150,26 +183,6 @@ std::vector<ExperimentOutcome> replay_pipeline(
     misses.push_back(i);
   }
 
-  // Graphs of the misses, interned once each before the pool starts, so
-  // the executors below resolve to cache hits.
-  GraphCache graphs;
-  {
-    std::unordered_set<std::string> seen;
-    for (const std::size_t i : misses) {
-      const ExperimentSpec& spec = specs[i];
-      const std::string& id = spec.rendezvous() ? spec.rendezvous()->graph
-                              : spec.sgl()      ? spec.sgl()->graph
-                                                : spec.search()->graph;
-      if (!seen.insert(id).second) continue;
-      const auto s = rec.span("graph.resolve");
-      try {
-        (void)graphs.resolve(id);
-      } catch (const std::exception&) {
-        // run_experiment reports the same failure on the outcome.
-      }
-    }
-  }
-
   // Phase 2 — batch formation and the pool.
   std::vector<std::size_t> scalar;
   std::vector<SpecBatch> batches;
@@ -182,13 +195,30 @@ std::vector<ExperimentOutcome> replay_pipeline(
   const std::size_t n_jobs = batches.size() + scalar.size();
   const unsigned width = pool_width(config.threads, n_jobs);
   std::atomic<std::uint64_t> batched_lanes{0};
+  // One graph cache for the run, shared by the pool as the pipeline's is.
+  // Each job resolves its graph in its own span right before the engine
+  // call (which then hits the cache), so builds overlap other jobs exactly
+  // as they do inside ExperimentPipeline::run.
+  GraphCache graphs;
+  const auto resolve = [&](std::size_t i) {
+    const ExperimentSpec& spec = specs[i];
+    const std::string& id = spec.rendezvous() ? spec.rendezvous()->graph
+                            : spec.sgl()      ? spec.sgl()->graph
+                                              : spec.search()->graph;
+    const auto s = rec.span("graph.resolve");
+    try {
+      (void)graphs.resolve(id);
+    } catch (const std::exception&) {
+      // The engine call reports the same failure on the outcome.
+    }
+  };
   {
     const auto pool = rec.span("pool", 0, request, std::max(1u, width));
     const std::uint64_t pool_id = pool.id();
     std::atomic<std::size_t> next{0};
     const auto store = [&](std::size_t i) {
       if (!config.cache || outcomes[i].transient_error) return;
-      const auto s = rec.span("cache.store", pool_id, request);
+      const auto s = rec.span("cache.store");
       config.cache->store(specs[i], outcomes[i]);
     };
     const auto worker = [&]() {
@@ -197,8 +227,10 @@ std::vector<ExperimentOutcome> replay_pipeline(
         const std::size_t j = next.fetch_add(1);
         if (j >= n_jobs) return;
         if (j < batches.size()) {
+          const auto job = rec.span("job", pool_id, request);
+          resolve(batches[j].indices.front());
           {
-            const auto s = rec.span("batch.run", pool_id, request);
+            const auto s = rec.span("batch.run");
             batched_lanes += run_spec_batch(specs, batches[j], &scratch,
                                             &graphs, outcomes.data());
           }
@@ -206,9 +238,10 @@ std::vector<ExperimentOutcome> replay_pipeline(
           continue;
         }
         const std::size_t i = scalar[j - batches.size()];
+        const auto job = rec.span("job", pool_id, request);
+        resolve(i);
         {
-          const auto s = rec.span(specs[i].sgl() ? "sgl.run" : "sim.scalar",
-                                  pool_id, request);
+          const auto s = rec.span(specs[i].sgl() ? "sgl.run" : "sim.scalar");
           ExperimentOutcome out = run_experiment(specs[i], &scratch, &graphs);
           out.index = i;
           outcomes[i] = std::move(out);
@@ -304,13 +337,13 @@ void layer_metrics(const Attribution& a, const LayerCounts& c,
   const auto per = [](double num, double den) { return den > 0 ? num / den : 0.0; };
   const auto d = [](std::uint64_t v) { return static_cast<double>(v); };
 
-  double service_s = 0, layers_s = 0;
+  double service_s = 0;
   for (const auto& [tag, s] : a.layer_s) {
-    layers_s += s;
     if (tag.rfind("service.", 0) == 0) service_s += s;
   }
-  r.check(std::fabs(layers_s + a.residual_s - a.wall_s) <= 1e-6 * a.wall_s + 1e-9,
-          "per-layer shares + residual do not sum to the traced wall time");
+  for (const std::string& error : attribution_errors(a)) {
+    r.check(false, "attribution: " + error);
+  }
 
   r.metric("graph.resolve_s", layer("graph.resolve"), "s", calls("graph.resolve"));
   r.metric("graph.builds", d(c.graph_builds), "count");

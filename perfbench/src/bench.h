@@ -46,7 +46,7 @@ struct Result {
   std::string digest;             ///< first iteration's JSONL digest
   std::vector<Figure> metrics;    ///< the gated set (end-to-end or per-layer)
   std::vector<Figure> details;    ///< workload-specific figures, not gated
-  std::vector<double> window_rates;  ///< cells_per_s of every window
+  std::vector<double> window_rates;  ///< cells_per_cpu_s of every window
 
   void check(bool ok, const std::string& what) {
     if (!ok) {
@@ -64,25 +64,71 @@ struct Result {
   }
 };
 
-/// Runs `make` kSetups times, `teardown` (untimed) before each, and
-/// returns the set-up times; setup_s is their median.
-inline constexpr int kSetups = 7;
-std::vector<double> repeated_setup(const std::function<void()>& teardown,
-                                   const std::function<void()>& make);
+/// Core speed. A shared host's cores do not run at one speed: sweep-theorem
+/// cells took 10.3 ms of CPU each in one quarter hour and 6.7 ms in the
+/// next on a 4-vCPU VM, as other tenants' load on the cores changed. A
+/// fixed reference kernel — the benchmark's own code, independent of the
+/// program under test — is timed in thread CPU time after every measured
+/// window; the gated figures count CPU seconds at the nominal speed, where
+/// the kernel takes kNominalReferenceS. A change to the program still
+/// moves them in full: only the host's speed is divided out.
+///
+/// Returns the CPU seconds the calling thread spent on one run of the
+/// kernel (a dependent walk over a 256 KiB table with a data-dependent
+/// branch, about 15 ms).
+double reference_cpu_s();
+inline constexpr double kNominalReferenceS = 0.015;
+
+/// CPU seconds of this process (all threads; not its children).
+double process_cpu_s();
+
+/// Set-up timing. setup_s is the median CPU time `make` takes in a run
+/// (wall time on the detail line); `teardown` runs (untimed) before each
+/// sample. A workload whose set-up is cheap to repeat keeps sampling it
+/// between iterations, spread over the whole run, until set-up sampling
+/// has taken kSetupShare of the measured time.
+class SetupTimer {
+ public:
+  SetupTimer(std::function<void()> make, std::function<void()> teardown)
+      : make_(std::move(make)), teardown_(std::move(teardown)) {}
+  /// Samples until this call took at least `min` samples and the run's
+  /// sampling (teardowns included) has lasted `until_s` seconds in all.
+  void sample(std::size_t min, double until_s);
+  const std::vector<double>& cpu_times() const { return cpu_; }
+  const std::vector<double>& wall_times() const { return wall_; }
+
+ private:
+  std::function<void()> make_, teardown_;
+  std::vector<double> cpu_, wall_;
+  double spent_s_ = 0;
+};
+inline constexpr std::size_t kMinSetups = 7;
+inline constexpr double kSetupWindowS = 0.25;  ///< sampling before the run
+inline constexpr double kSetupShare = 0.1;
 
 /// One measured slice of a run: an iteration of a sweep workload, or a
-/// one-second window of the daemon loop.
+/// segment of the daemon loop. `ref_s` is reference_cpu_s() timed right
+/// after it.
 struct Window {
   double cells = 0;
   double seconds = 0;
-  double cpu_s = 0;
+  double cpu_s = 0;  ///< this process and its reaped children
+  double ref_s = 0;
 };
 
-/// The end-to-end metrics every workload reports: cells_per_s as the
-/// median over the run's windows (robust to a stalled fsync or a noisy
-/// neighbour), setup_s and peak_rss_mb; plus the detail cpu_ms_per_cell.
+/// The end-to-end metrics every workload reports:
+///  - cells_per_cpu_s: median over the run's windows of cells per CPU
+///    second at nominal core speed, cells / (cpu_s · kNominalReferenceS /
+///    ref_s). CPU time does not count the time a thread waits for a core,
+///    so other load on the host does not move it; the reference divides
+///    out how fast the cores ran.
+///  - setup_s: median set-up CPU time at nominal core speed (the run's
+///    median ref_s).
+///  - peak_rss_mb.
+/// The wall-clock figures (cells_per_s, setup_wall_s), cpu_ms_per_cell and
+/// core_speed (kNominalReferenceS / median ref_s) go on the detail line.
 void end_to_end(Result& r, const std::vector<Window>& windows,
-                const std::vector<double>& setups);
+                const SetupTimer& setup);
 
 /// Peak resident set of this process and every reaped child, in MB.
 double peak_rss_mb();
@@ -151,10 +197,10 @@ asyncrv::runner::PipelineReport run_pipeline(
     double* seconds);
 
 /// Replays one pipeline run layer by layer, in the pipeline's phase order
-/// (fingerprint, lookup, resolve, form_batches, execute on a pool of the
-/// same width with stores, flush, sweep_row, emit), one span per public
-/// call. Writes the JSONL the pipeline would have written and returns the
-/// outcomes.
+/// (fingerprint, lookup, form_batches, then on a pool of the same width
+/// each job's graph resolve, execution and stores, then flush, sweep_row,
+/// emit), one span per public call. Writes the JSONL the pipeline would
+/// have written and returns the outcomes.
 std::vector<asyncrv::runner::ExperimentOutcome> replay_pipeline(
     const std::vector<ExperimentSpec>& specs, const ReplayConfig& config,
     Recorder& rec, std::uint64_t request, const std::string& jsonl_path,
@@ -204,8 +250,7 @@ struct LayerExtras {
 
 /// The per-layer metric set, filled from an attribution plus counts. Every
 /// name is always emitted; a layer the workload never reaches reads 0.
-/// Fails the result if Σ layer shares + residual differs from the traced
-/// wall time.
+/// Fails the result on every attribution_errors() entry.
 void layer_metrics(const Attribution& a, const LayerCounts& c,
                    const LayerExtras& x, Result& r);
 

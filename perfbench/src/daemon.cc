@@ -6,9 +6,9 @@
 // fresh heterogeneous cell, ~10% STATUS/PING — and times every request
 // from send to its last line.
 #include <algorithm>
-#include <chrono>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -32,6 +32,14 @@ namespace {
 
 constexpr int kConnections = 2;
 constexpr std::size_t kWarmPerSweep = 24, kFreshPerSweep = 8;
+constexpr std::uint64_t kSampleEvery = 64;
+constexpr int kFirstSegment = 16, kSegments = 10;
+/// The measured loop makes kRequestsPerS requests per second of --seconds
+/// (0.6-1.1 s of it per second on a 4-vCPU Xeon VM), a count rather than
+/// a time: each fresh cell the daemon stores stays in its index, so its
+/// memory follows the number of requests, which must not depend on how
+/// fast the host ran.
+constexpr double kRequestsPerS = 200;
 
 enum class Verb { Ping, Status, Run, Sweep };
 
@@ -64,7 +72,7 @@ struct Sampled {
 
 struct LoopResult {
   double wall_s = 0;
-  std::vector<Window> windows;  ///< one-second slices of the loop
+  std::vector<Window> windows;  ///< one per closed_loop call
   std::vector<Request> requests;
   std::vector<Sampled> sampled;
   /// Request ids of completed RUN/SWEEPs: their fresh cells, regenerated
@@ -148,13 +156,9 @@ class Daemon {
 
 /// One streamed RUN/SWEEP through Client::request + read_line, so the
 /// admission (head line) and first row are timed apart from the whole.
-void streamed(Client& client, const std::string& frame, Recorder& rec,
-              std::uint64_t t0, Request& req, std::string* rows) {
-  std::optional<Client::Head> head;
-  {
-    const auto s = rec.span("service.admit");
-    head = client.request(frame);
-  }
+void streamed(Client& client, const std::string& frame, std::uint64_t t0,
+              Request& req, std::string* rows) {
+  const std::optional<Client::Head> head = client.request(frame);
   req.admit_ms = seconds_since(t0) * 1e3;
   if (!head || !head->ok) {
     req.busy = head && head->err_code == "busy";
@@ -176,16 +180,17 @@ void streamed(Client& client, const std::string& frame, Recorder& rec,
   }
 }
 
-/// The closed loop: runs until `seconds` have passed AND every connection
-/// has made at least `min_requests / kConnections` requests. `loop` keeps
-/// the fresh cells of successive loops disjoint.
-LoopResult closed_loop(Daemon& d, std::uint64_t seed, int loop, double seconds,
-                       std::size_t min_requests, Recorder& rec) {
+/// The closed loop: every connection makes `per_conn` requests. `loop`
+/// keeps the fresh cells of successive loops disjoint. With `sample`,
+/// every kSampleEvery-th request of a connection that is a RUN/SWEEP keeps
+/// its streamed rows.
+LoopResult closed_loop(Daemon& d, std::uint64_t seed, int loop,
+                       std::uint64_t per_conn, bool sample_rows,
+                       Recorder& rec) {
   LoopResult out;
   std::vector<LoopResult> per(kConnections);
-  const std::uint64_t per_conn = (min_requests + kConnections - 1) / kConnections;
   std::atomic<std::uint64_t> streamed_rows{0};
-  std::atomic<int> running{kConnections};
+  const double cpu0 = cpu_seconds();
   const std::uint64_t start = now_ns();
   {
     const auto root = rec.span("loop", 0, 0, kConnections);
@@ -195,8 +200,7 @@ LoopResult closed_loop(Daemon& d, std::uint64_t seed, int loop, double seconds,
       Client& client = d.client(c);
       asyncrv::Rng rng(iteration_seed(seed, 1000 + 10 * loop + c));
       const std::uint64_t base = static_cast<std::uint64_t>(loop) << 32;
-      for (std::uint64_t k = 0;
-           k < per_conn || seconds_since(start) < seconds; ++k) {
+      for (std::uint64_t k = 0; k < per_conn; ++k) {
         const std::uint64_t n = base + k * kConnections + c;  // request id
         const std::uint64_t mix = rng.below(100);
         Request req;
@@ -215,7 +219,7 @@ LoopResult closed_loop(Daemon& d, std::uint64_t seed, int loop, double seconds,
             specs.push_back(std::move(spec));
           }
         }
-        const bool sample = !specs.empty() && k % 16 == 0 && k < 16 * 32;
+        const bool sample = sample_rows && !specs.empty() && k % kSampleEvery == 0;
         std::string rows;
         const std::uint64_t t0 = now_ns();
         {
@@ -224,11 +228,11 @@ LoopResult closed_loop(Daemon& d, std::uint64_t seed, int loop, double seconds,
             case Verb::Ping: req.ok = client.ping(); break;
             case Verb::Status: req.ok = client.status().has_value(); break;
             case Verb::Run:
-              streamed(client, asyncrv::service::run_request(specs[0]), rec, t0,
+              streamed(client, asyncrv::service::run_request(specs[0]), t0,
                        req, sample ? &rows : nullptr);
               break;
             case Verb::Sweep:
-              streamed(client, asyncrv::service::sweep_request(specs), rec, t0,
+              streamed(client, asyncrv::service::sweep_request(specs), t0,
                        req, sample ? &rows : nullptr);
               break;
           }
@@ -243,39 +247,36 @@ LoopResult closed_loop(Daemon& d, std::uint64_t seed, int loop, double seconds,
       }
     };
     std::vector<std::thread> threads;
-    for (int c = 0; c < kConnections; ++c) {
-      threads.emplace_back([&, c] {
-        connection(c);
-        --running;
-      });
-    }
-    // One-second windows of rows streamed and CPU spent, sampled here.
-    std::uint64_t window_start = start, window_rows = 0;
-    const double cpu0 = cpu_seconds();
-    double window_cpu = cpu0;
-    while (running > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      if (seconds_since(window_start) < 1.0 || running == 0) continue;
-      const std::uint64_t now = now_ns(), r = streamed_rows.load();
-      const double cpu = cpu_seconds();
-      out.windows.push_back({static_cast<double>(r - window_rows),
-                             static_cast<double>(now - window_start) * 1e-9,
-                             cpu - window_cpu});
-      window_start = now;
-      window_rows = r;
-      window_cpu = cpu;
-    }
+    for (int c = 0; c < kConnections; ++c) threads.emplace_back(connection, c);
     for (std::thread& t : threads) t.join();
-    if (out.windows.empty()) {  // a loop shorter than one window
-      out.windows.push_back({static_cast<double>(streamed_rows.load()),
-                             seconds_since(start), cpu_seconds() - cpu0});
-    }
   }
   out.wall_s = seconds_since(start);
+  out.windows.push_back({static_cast<double>(streamed_rows.load()), out.wall_s,
+                         cpu_seconds() - cpu0});
   for (LoopResult& p : per) {
     out.requests.insert(out.requests.end(), p.requests.begin(), p.requests.end());
     out.sampled.insert(out.sampled.end(), p.sampled.begin(), p.sampled.end());
     out.fresh.insert(out.fresh.end(), p.fresh.begin(), p.fresh.end());
+  }
+  return out;
+}
+
+/// The measured loop: kSegments closed_loop segments, with the reference
+/// kernel timed after each. Segment k is loop kFirstSegment + k.
+LoopResult measured_loop(Daemon& d, std::uint64_t seed, std::uint64_t requests) {
+  Recorder off(false);
+  LoopResult out;
+  const std::uint64_t per_conn =
+      (requests + kConnections * kSegments - 1) / (kConnections * kSegments);
+  for (int k = 0; k < kSegments; ++k) {
+    LoopResult seg = closed_loop(d, seed, kFirstSegment + k, per_conn, true, off);
+    seg.windows.back().ref_s = reference_cpu_s();
+    out.wall_s += seg.wall_s;
+    out.windows.insert(out.windows.end(), seg.windows.begin(), seg.windows.end());
+    out.requests.insert(out.requests.end(), seg.requests.begin(),
+                        seg.requests.end());
+    out.sampled.insert(out.sampled.end(), seg.sampled.begin(), seg.sampled.end());
+    out.fresh.insert(out.fresh.end(), seg.fresh.begin(), seg.fresh.end());
   }
   return out;
 }
@@ -299,31 +300,83 @@ asyncrv::obs::HistogramValue histogram(const asyncrv::obs::Snapshot& s,
   return it == s.histograms.end() ? asyncrv::obs::HistogramValue{} : it->second;
 }
 
+/// The daemon-side stage times of a traced loop, as spans under its
+/// RUN/SWEEP client spans. The daemon's own stage histograms (METRICS
+/// deltas over the loop) are totals, so each stage's time is apportioned
+/// over the client spans in proportion to their durations: every job runs
+/// inside its request's span, so the stages never cover more than the
+/// spans do. Pool-thread stages (batch, cell, store) are scaled down to
+/// the execute stage's wall time when a job's pool ran them in parallel.
+void record_daemon_stages(Recorder& rec, const asyncrv::obs::Snapshot& before,
+                          const asyncrv::obs::Snapshot& after) {
+  const auto ns = [&](const char* name) {
+    return static_cast<double>(histogram(after, name).sum -
+                               histogram(before, name).sum);
+  };
+  const double execute = ns("pipeline.stage.execute_ns");
+  const double batch = ns("pipeline.batch_ns"), cell = ns("pipeline.cell_ns"),
+               store = ns("pipeline.store_ns");
+  const double on_pool = batch + cell + store;
+  const double scale = on_pool > execute ? execute / on_pool : 1.0;
+  const std::pair<const char*, double> stages[] = {
+      {"cache.lookup", ns("pipeline.stage.lookup_ns")},
+      {"batch.form", ns("pipeline.stage.form_batches_ns")},
+      {"batch.run", batch * scale},
+      {"sim.scalar", cell * scale},
+      {"cache.store", store * scale},
+      {"cache.flush", ns("pipeline.stage.flush_ns")}};
+
+  std::vector<Span> jobs;
+  double total = 0;
+  for (const Span& sp : rec.spans()) {
+    if (std::strcmp(sp.name, verb_tag(Verb::Run)) == 0 ||
+        std::strcmp(sp.name, verb_tag(Verb::Sweep)) == 0) {
+      jobs.push_back(sp);
+      total += static_cast<double>(sp.end_ns - sp.start_ns);
+    }
+  }
+  if (total <= 0) return;
+  for (const Span& sp : jobs) {
+    const double share = static_cast<double>(sp.end_ns - sp.start_ns) / total;
+    std::uint64_t at = sp.start_ns;
+    for (const auto& [tag, stage_ns] : stages) {
+      const auto d = static_cast<std::uint64_t>(stage_ns * share);
+      rec.record(tag, sp.id, sp.request, at, at + d);
+      at += d;
+    }
+  }
+}
+
 }  // namespace
 
 Result run_daemon(const Options& o) {
   Result r;
+  // Set-up: daemon bind/start, connections and the warm fill — too heavy
+  // to repeat beside the loop, so sampled before it only.
   std::unique_ptr<Daemon> daemon;
-  const std::vector<double> setups = repeated_setup(
-      [&] { daemon.reset(); },
-      [&] { daemon = std::make_unique<Daemon>(o.seed, o.size); });
+  SetupTimer setup([&] { daemon = std::make_unique<Daemon>(o.seed, o.size); },
+                   [&] { daemon.reset(); });
+  setup.sample(kMinSetups, kSetupWindowS);
 
   Recorder off(false), rec(o.trace);
+  const std::uint64_t requests = std::max<std::uint64_t>(
+      o.size.min_requests,
+      static_cast<std::uint64_t>(o.seconds * kRequestsPerS));
+  const std::uint64_t quarter = requests / 4 / kConnections + 1;
   // Warm-up: the daemon's throughput ramps over its first seconds of
   // traffic; a resident service's users see the steady state.
-  const LoopResult warmup = closed_loop(*daemon, o.seed, 3, o.seconds / 4, 0, off);
+  const LoopResult warmup = closed_loop(*daemon, o.seed, 3, quarter, false, off);
   const auto m0 = daemon->client(0).metrics();
   // The measured loop (traced runs measure an untraced reference loop of
-  // half the length first, then the traced loop).
+  // half the size first, then the traced loop).
   const LoopResult main_loop =
-      closed_loop(*daemon, o.seed, 0, o.trace ? o.seconds / 2 : o.seconds,
-                  o.size.min_requests, off);
+      measured_loop(*daemon, o.seed, o.trace ? requests / 2 : requests);
   const auto m1 = daemon->client(0).metrics();
   r.check(m0.has_value() && m1.has_value(), "METRICS request failed");
 
   // Correctness, outside the loop: streamed rows equal a local JsonlSink
   // rendering (scalar, cache-less) of the same specs; digest over the
-  // sampled requests every run of this seed makes.
+  // sampled requests (the same ones in every run of a seed and size).
   std::string digest_bytes;
   std::uint64_t mismatches = 0;
   for (const Sampled& s : main_loop.sampled) {
@@ -335,7 +388,7 @@ Result run_daemon(const Options& o) {
     std::string expected = local.str();
     if (o.break_crosscheck && &s == &main_loop.sampled.front()) expected += "x";
     if (s.rows != expected) ++mismatches;
-    if (s.k < o.size.min_requests / kConnections) digest_bytes += s.rows;
+    digest_bytes += s.rows;
   }
   r.digest = digest(digest_bytes);
   r.check(!main_loop.sampled.empty(), "no request was sampled");
@@ -346,9 +399,13 @@ Result run_daemon(const Options& o) {
 
   LoopResult traced, tracer_on;
   if (o.trace) {
-    traced = closed_loop(*daemon, o.seed, 1, o.seconds / 2, 0, rec);
+    const auto t0 = daemon->client(0).metrics();
+    traced = closed_loop(*daemon, o.seed, 1, 2 * quarter, false, rec);
+    const auto t1 = daemon->client(0).metrics();
+    r.check(t0.has_value() && t1.has_value(), "METRICS request failed");
+    if (t0 && t1) record_daemon_stages(rec, *t0, *t1);
     asyncrv::obs::Tracer::global().enable();
-    tracer_on = closed_loop(*daemon, o.seed, 2, o.seconds / 4, 0, off);
+    tracer_on = closed_loop(*daemon, o.seed, 2, quarter, false, off);
     asyncrv::obs::Tracer::global().disable();
     asyncrv::obs::Tracer::global().clear();
   }
@@ -396,13 +453,14 @@ Result run_daemon(const Options& o) {
   r.detail("lost_stores", static_cast<double>(lost), "count");
 
   if (!o.trace) {
-    end_to_end(r, main_loop.windows, setups);
+    end_to_end(r, main_loop.windows, setup);
     return r;
   }
 
-  // Per-layer: client spans for the service layer; counts and the job
-  // time from the daemon's own registry (the METRICS verb), as deltas over
-  // the untraced loop.
+  // Per-layer: client spans for the service layer, split by the daemon's
+  // stage times (record_daemon_stages); counts and the job time from the
+  // daemon's own registry (the METRICS verb), as deltas over the untraced
+  // loop.
   const auto per_request = [](const LoopResult& l) {
     return l.requests.empty() ? 0.0
                               : l.wall_s * kConnections /

@@ -100,6 +100,7 @@ std::vector<ExperimentSpec> replica_specs(std::uint64_t seed, std::uint64_t it,
                                           const Size& size) {
   Rng rng(iteration_seed(seed, it));
   std::vector<ExperimentSpec> specs;
+  specs.reserve(3 * 4 * size.replicas);
   for (const char* graph : {"grid:32x32", "torus:32x32", "rreg:4096,3@7"}) {
     for (const char* adv : {"fair", "random50", "burst", "skew"}) {
       for (std::size_t r = 0; r < size.replicas; ++r) {

@@ -3,6 +3,7 @@
 //   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //             [--size full|smoke] [--meta-git-rev <rev>] [--meta-dirty <0|1>]
 //             [--expect-digest <hex>] [--break-crosscheck]
+//   perfbench --check-spans <trace.jsonl>
 //
 // Prints one `perfbench-detail {...}` line (run metadata, the first
 // iteration's JSONL digest, workload-specific figures with sample counts,
@@ -13,6 +14,11 @@
 // With --trace 0 the metrics are the end-to-end set, with --trace 1 the
 // per-layer set (perfbench/README.md). A failed correctness check prints
 // correct=false and exits 1; a non-Release build refuses to run.
+//
+// --check-spans attributes a span file a traced run wrote (or any file in
+// its format), prints the layer shares, and exits 1 if the spans are
+// inconsistent (attribution_errors) — the benchmark's tests feed it
+// contradictory span sets.
 #include <sys/stat.h>
 
 #include <cstdio>
@@ -59,12 +65,31 @@ std::string figures(const std::vector<Figure>& fs, bool with_samples) {
   return out + "}";
 }
 
+int check_spans(const std::string& path) {
+  std::vector<Span> spans;
+  std::deque<std::string> names;
+  if (!read_spans(path, &spans, &names)) {
+    std::cerr << "perfbench: cannot read spans from " << path << "\n";
+    return 2;
+  }
+  const Attribution a = attribute(spans);
+  std::cout << "wall_s " << number(a.wall_s) << "\nresidual_s "
+            << number(a.residual_s) << "\n";
+  for (const auto& [layer, s] : a.layer_s) {
+    std::cout << layer << " " << number(s) << "\n";
+  }
+  const std::vector<std::string> errors = attribution_errors(a);
+  for (const std::string& e : errors) std::cerr << "perfbench: " << e << "\n";
+  return errors.empty() ? 0 : 1;
+}
+
 int usage() {
   std::cerr << "usage: perfbench --workload sweep-theorem|sweep-replicas|"
                "scale-sharded|daemon-mixed --seed <n> --seconds <s> "
                "--trace <0|1> [--size full|smoke] [--meta-git-rev <rev>] "
                "[--meta-dirty <0|1>] [--expect-digest <hex>] "
-               "[--break-crosscheck]\n";
+               "[--break-crosscheck]\n"
+               "       perfbench --check-spans <trace.jsonl>\n";
   return 2;
 }
 
@@ -81,6 +106,7 @@ int main(int argc, char** argv) {
     }
     if (i + 1 >= argc) return usage();
     const std::string value = argv[++i];
+    if (arg == "--check-spans") return check_spans(value);
     if (arg == "--workload") o.workload = value;
     else if (arg == "--seed") o.seed = std::strtoull(value.c_str(), nullptr, 10);
     else if (arg == "--seconds") o.seconds = std::strtod(value.c_str(), nullptr);
@@ -145,7 +171,7 @@ int main(int argc, char** argv) {
             << ", \"digest\": " << json_string(r.digest)
             << ", \"metrics\": " << figures(r.metrics, true)
             << ", \"details\": " << figures(r.details, true)
-            << ", \"window_cells_per_s\": [" << rates << "]"
+            << ", \"window_cells_per_cpu_s\": [" << rates << "]"
             << ", \"failures\": " << failures << "}\n";
   std::cout << "{\"correct\": " << (r.correct ? "true" : "false")
             << ", \"attempted\": " << r.attempted << ", \"failed\": " << r.failed

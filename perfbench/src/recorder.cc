@@ -1,6 +1,8 @@
 #include "recorder.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <thread>
 #include <unordered_map>
@@ -97,7 +99,14 @@ Attribution attribute(const std::vector<Span>& spans) {
     const Span& s = spans[i];
     const double dur = seconds(s);
     if (s.parent == 0 || by_id.find(s.parent) == by_id.end()) a.wall_s += dur;
-    const double share = (dur - covered[i]) * weight_of(i);
+    const double self = dur - covered[i];
+    // A nanosecond of slack: a child clocked by a pool thread may end a
+    // clock tick after its parent.
+    if (self < -1e-9) {
+      ++a.negative_spans;
+      a.min_self_s = std::min(a.min_self_s, self);
+    }
+    const double share = self * weight_of(i);
     const std::string name = s.name;
     if (name.find('.') == std::string::npos) {
       a.residual_s += share;
@@ -109,6 +118,26 @@ Attribution attribute(const std::vector<Span>& spans) {
     if (dur > a.max_call_s[name]) a.max_call_s[name] = dur;
   }
   return a;
+}
+
+std::vector<std::string> attribution_errors(const Attribution& a) {
+  std::vector<std::string> errors;
+  if (a.negative_spans > 0) {
+    errors.push_back(std::to_string(a.negative_spans) +
+                     " spans have a negative self time (down to " +
+                     std::to_string(a.min_self_s) + " s)");
+  }
+  for (const auto& [layer, s] : a.layer_s) {
+    if (s < 0) errors.push_back("layer " + layer + " has a negative share");
+  }
+  if (a.wall_s <= 0) {
+    errors.push_back("no traced wall time");
+  } else if (a.residual_s > kMaxResidualFrac * a.wall_s) {
+    errors.push_back("residual " + std::to_string(a.residual_s / a.wall_s) +
+                     " of the traced wall time exceeds " +
+                     std::to_string(kMaxResidualFrac));
+  }
+  return errors;
 }
 
 bool write_spans(const std::string& path, const std::vector<Span>& spans,
@@ -127,6 +156,34 @@ bool write_spans(const std::string& path, const std::vector<Span>& spans,
                  static_cast<unsigned long long>(s.request));
   }
   return std::fclose(f) == 0;
+}
+
+bool read_spans(const std::string& path, std::vector<Span>* spans,
+                std::deque<std::string>* names) {
+  FILE* f = std::fopen(path.c_str(), "r");
+  if (!f) return false;
+  char line[1024];
+  bool ok = true;
+  while (ok && std::fgets(line, sizeof line, f)) {
+    if (std::strncmp(line, "{\"meta\":", 8) == 0) continue;
+    unsigned long long id, parent, start, end, request;
+    unsigned thread, fanout;
+    char name[256];
+    ok = std::sscanf(line,
+                     "{\"id\":%llu,\"parent\":%llu,\"name\":\"%255[^\"]\","
+                     "\"start_ns\":%llu,\"end_ns\":%llu,\"thread\":%u,"
+                     "\"fanout\":%u,\"request\":%llu}",
+                     &id, &parent, name, &start, &end, &thread, &fanout,
+                     &request) == 8 &&
+         end >= start;
+    if (!ok) break;
+    names->emplace_back(name);
+    spans->push_back({.id = id, .parent = parent, .name = names->back().c_str(),
+                      .start_ns = start, .end_ns = end, .thread = thread,
+                      .fanout = fanout == 0 ? 1 : fanout, .request = request});
+  }
+  std::fclose(f);
+  return ok;
 }
 
 }  // namespace perfbench

@@ -18,12 +18,18 @@
 //
 // Every span is tagged with the layer it times; spans tagged with no layer
 // (the benchmark's own loop, a pool's idle capacity) add up to the
-// `residual` row. Σ layers + residual = Σ root durations, by construction.
+// `residual` row. Σ layers + residual = Σ root durations, by construction,
+// so that identity checks nothing. What can go wrong is a span set that
+// contradicts itself — children that cover more than their parent (a
+// pool narrower than declared, stage sums a child process reported that
+// exceed the span they split) — or spans that explain too little of the
+// wall time; attribution_errors() names both.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -103,14 +109,28 @@ struct Attribution {
   std::map<std::string, double> busy_s;     ///< raw Σ durations per tag
   std::map<std::string, std::uint64_t> calls;
   std::map<std::string, double> max_call_s;
+  std::uint64_t negative_spans = 0;  ///< spans whose self time is < 0
+  double min_self_s = 0;             ///< the most negative self time
 };
+
+/// At most this share of the traced wall time may go unattributed.
+inline constexpr double kMaxResidualFrac = 0.5;
 
 /// Layer tags are the span names containing a '.' ("graph.resolve",
 /// "cache.lookup", ...); other names are glue and count as residual.
 Attribution attribute(const std::vector<Span>& spans);
 
+/// The inconsistencies of an attribution (empty = consistent): spans or
+/// layers with a negative self time, a residual beyond kMaxResidualFrac.
+std::vector<std::string> attribution_errors(const Attribution& a);
+
 /// Writes every span as one JSON object per line.
 bool write_spans(const std::string& path, const std::vector<Span>& spans,
                  const std::string& meta_json);
+
+/// Reads a file write_spans() wrote. Span names point into `names`, which
+/// must outlive the spans. Returns false on a malformed line.
+bool read_spans(const std::string& path, std::vector<Span>* spans,
+                std::deque<std::string>* names);
 
 }  // namespace perfbench

@@ -20,31 +20,43 @@ namespace perfbench {
 namespace fs = std::filesystem;
 using namespace asyncrv::runner;
 
-std::vector<double> repeated_setup(const std::function<void()>& teardown,
-                                   const std::function<void()>& make) {
-  std::vector<double> times;
-  for (int k = 0; k < kSetups; ++k) {
-    teardown();
+void SetupTimer::sample(std::size_t min, double until_s) {
+  const std::uint64_t start = now_ns();
+  for (std::size_t n = 0; n < min || spent_s_ + seconds_since(start) < until_s;
+       ++n) {
+    teardown_();
+    const double cpu0 = process_cpu_s();
     const std::uint64_t t0 = now_ns();
-    make();
-    times.push_back(seconds_since(t0));
+    make_();
+    wall_.push_back(seconds_since(t0));
+    cpu_.push_back(process_cpu_s() - cpu0);
   }
-  return times;
+  spent_s_ += seconds_since(start);
 }
 
 void end_to_end(Result& r, const std::vector<Window>& windows,
-                const std::vector<double>& setups) {
-  std::vector<double> rate, cpu;
+                const SetupTimer& setup) {
+  std::vector<double> rate, wall, cpu, ref;
   for (const Window& w : windows) {
-    if (w.cells <= 0 || w.seconds <= 0) continue;
-    rate.push_back(w.cells / w.seconds);
+    if (w.cells <= 0 || w.seconds <= 0 || w.cpu_s <= 0 || w.ref_s <= 0) {
+      continue;
+    }
+    rate.push_back(w.cells / (w.cpu_s * kNominalReferenceS / w.ref_s));
     r.window_rates.push_back(rate.back());
+    wall.push_back(w.cells / w.seconds);
     cpu.push_back(w.cpu_s * 1e3 / w.cells);
+    ref.push_back(w.ref_s);
   }
-  r.metric("cells_per_s", median(rate), "1/s", rate.size());
-  r.metric("setup_s", median(setups), "s", setups.size());
+  const double speed = ref.empty() ? 0 : kNominalReferenceS / median(ref);
+  r.metric("cells_per_cpu_s", median(rate), "1/s", rate.size());
+  r.metric("setup_s", median(setup.cpu_times()) * speed, "s",
+           setup.cpu_times().size());
   r.metric("peak_rss_mb", peak_rss_mb(), "MB");
+  r.detail("cells_per_s", median(wall), "1/s", wall.size());
+  r.detail("setup_wall_s", median(setup.wall_times()), "s",
+           setup.wall_times().size());
   r.detail("cpu_ms_per_cell", median(cpu), "ms", cpu.size());
+  r.detail("core_speed", speed, "ratio", ref.size());
 }
 
 namespace {
@@ -95,22 +107,21 @@ double tracer_ratio(const std::vector<ExperimentSpec>& specs,
 
 Result run_pipeline_workload(const Options& o, const PipelineWorkload& w) {
   Result r;
-  // Set-up: the run directory plus the specs of the first iterations (a
-  // run makes about this many; later ones are generated untimed).
-  constexpr std::uint64_t kPregenerated = 8;
-  std::unique_ptr<RunDir> dir;
-  std::vector<std::vector<ExperimentSpec>> pending;
-  const std::vector<double> setups = repeated_setup(
+  // Set-up: what the run needs before its first iteration — the run
+  // directory and iteration 0's specs. The last sample's are the run's.
+  struct Staged {
+    std::unique_ptr<RunDir> dir;
+    std::vector<ExperimentSpec> specs;
+  } staged;
+  SetupTimer setup(
       [&] {
-        dir.reset();
-        pending.clear();
+        staged.dir = std::make_unique<RunDir>(w.tag);
+        staged.specs = w.generate(0);
       },
-      [&] {
-        dir = std::make_unique<RunDir>(w.tag);
-        for (std::uint64_t it = 0; it < kPregenerated; ++it) {
-          pending.push_back(w.generate(it));
-        }
-      });
+      [&] { staged = {}; });
+  setup.sample(kMinSetups, kSetupWindowS);
+  const std::unique_ptr<RunDir> dir = std::move(staged.dir);
+  std::vector<ExperimentSpec> first = std::move(staged.specs);
 
   PipelineOptions options;
   options.threads = w.threads;
@@ -125,13 +136,13 @@ Result run_pipeline_workload(const Options& o, const PipelineWorkload& w) {
   std::uint64_t mismatches = 0, sampled = 0;
   for (std::uint64_t it = 0;; ++it) {
     const std::vector<ExperimentSpec> specs =
-        it < pending.size() ? std::move(pending[it]) : w.generate(it);
+        it == 0 ? std::move(first) : w.generate(it);
     const std::string path = dir->path() + "/run.jsonl";
     const double cpu0 = cpu_seconds();
     double secs = 0;
     const PipelineReport report = run_pipeline(specs, options, path, &secs);
     windows.push_back({static_cast<double>(specs.size()), secs,
-                       cpu_seconds() - cpu0});
+                       cpu_seconds() - cpu0, reference_cpu_s()});
     busy += secs;
     r.attempted += specs.size();
 
@@ -165,6 +176,8 @@ Result run_pipeline_workload(const Options& o, const PipelineWorkload& w) {
                                      std::to_string(it) + ")");
     }
     if (busy >= o.seconds) break;
+    setup.sample(1, kSetupShare * busy);
+    staged = {};
   }
   r.check(mismatches == 0, "batch/scalar cross-check: " +
                                std::to_string(mismatches) + " of " +
@@ -172,7 +185,7 @@ Result run_pipeline_workload(const Options& o, const PipelineWorkload& w) {
   r.detail("crosscheck_cells", static_cast<double>(sampled), "count");
 
   if (!o.trace) {
-    end_to_end(r, windows, setups);
+    end_to_end(r, windows, setup);
     return r;
   }
   LayerExtras x;
@@ -208,12 +221,20 @@ Result run_replicas(const Options& o) {
 
 Result run_scale(const Options& o) {
   Result r;
-  std::unique_ptr<RunDir> dir;
-  std::vector<ExperimentSpec> specs;
-  const std::vector<double> setups = repeated_setup([&] { dir.reset(); }, [&] {
-    dir = std::make_unique<RunDir>("scale");
-    specs = scale_specs(o.seed, 0, o.size);
-  });
+  // Set-up: the run directory and iteration 0's specs, as above.
+  struct Staged {
+    std::unique_ptr<RunDir> dir;
+    std::vector<ExperimentSpec> specs;
+  } staged;
+  SetupTimer setup(
+      [&] {
+        staged.dir = std::make_unique<RunDir>("scale");
+        staged.specs = scale_specs(o.seed, 0, o.size);
+      },
+      [&] { staged = {}; });
+  setup.sample(kMinSetups, kSetupWindowS);
+  const std::unique_ptr<RunDir> dir = std::move(staged.dir);
+  std::vector<ExperimentSpec> specs = std::move(staged.specs);
 
   // rv_cli sweep scale --packed-cache: 4 fork-based shards × 1 thread on
   // the packed store, then one merge/verify pipeline pass.
@@ -270,7 +291,7 @@ Result run_scale(const Options& o) {
     }
     const double cold_s = seconds_since(t0);
     windows.push_back({static_cast<double>(specs.size()), cold_s,
-                       cpu_seconds() - cpu0});
+                       cpu_seconds() - cpu0, reference_cpu_s()});
     cold += cold_s;
     cells += static_cast<double>(specs.size());
     r.attempted += specs.size();
@@ -355,6 +376,8 @@ Result run_scale(const Options& o) {
     std::error_code ec;
     fs::remove_all(cache_dir, ec);
     if (cold + warm >= o.seconds) break;
+    setup.sample(1, kSetupShare * (cold + warm));
+    staged = {};
   }
   r.detail("warm_cells_per_s", median(warm_rates), "1/s", warm_rates.size());
   r.detail("store_bytes_per_cell",
@@ -363,7 +386,7 @@ Result run_scale(const Options& o) {
   r.detail("lost_stores", static_cast<double>(counts.lost_stores), "count");
 
   if (!o.trace) {
-    end_to_end(r, windows, setups);
+    end_to_end(r, windows, setup);
     return r;
   }
   x.overhead_frac = warm > 0 ? (traced_merge - warm) / warm : 0;

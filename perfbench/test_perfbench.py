@@ -6,8 +6,9 @@ Run from the root of a source checkout:
 
 They assert that every named metric is emitted with its unit (and a sample
 count on the detail line), that a run's JSONL digest repeats for one seed,
-and that a wrong expected digest, a broken batch/scalar cross-check, or a
-tree without the library sources fails the run.
+that a wrong expected digest, a broken batch/scalar cross-check, or a
+tree without the library sources fails the run, and that the attribution
+rejects span sets that contradict themselves.
 """
 import json
 import os
@@ -100,6 +101,61 @@ class Correctness(unittest.TestCase):
             self.assertIsNone(result)
         finally:
             shutil.rmtree(tree, ignore_errors=True)
+
+
+def span(id, parent, name, start, end, fanout=1):
+    return json.dumps({"id": id, "parent": parent, "name": name, "start_ns": start,
+                       "end_ns": end, "thread": 0, "fanout": fanout, "request": 1},
+                      separators=(",", ":"))
+
+
+class Attribution(unittest.TestCase):
+    def check_spans(self, *spans):
+        path = os.path.join(ROOT, ".bench_run", "spans-%d.jsonl" % os.getpid())
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        try:
+            with open(path, "w") as f:
+                f.write('{"meta":{}}\n' + "\n".join(spans) + "\n")
+            p = subprocess.run([sys.executable, os.path.join(HERE, "run.py"),
+                                "--check-spans", path],
+                               capture_output=True, text=True, timeout=600)
+            return p.returncode, p.stdout + p.stderr
+        finally:
+            os.remove(path)
+
+    def test_consistent_spans_pass(self):
+        rc, out = self.check_spans(
+            span(1, 0, "replay", 0, 1000),
+            span(2, 1, "pool", 0, 900, fanout=2),
+            span(3, 2, "sim.scalar", 0, 800),
+            span(4, 2, "sim.scalar", 0, 900))
+        self.assertEqual(rc, 0, out)
+        shares = dict(line.split() for line in out.splitlines()
+                      if line.startswith(("wall_s ", "residual_s ", "sim.scalar ")))
+        # Pool children count at 1/2: (800 + 900) / 2 ns; the rest is residual.
+        self.assertAlmostEqual(float(shares["sim.scalar"]), 850e-9, delta=1e-12)
+        self.assertAlmostEqual(float(shares["residual_s"]), 150e-9, delta=1e-12)
+
+    def test_child_longer_than_parent_fails(self):
+        rc, out = self.check_spans(span(1, 0, "replay", 0, 1000),
+                                   span(2, 1, "sim.scalar", 0, 2000))
+        self.assertEqual(rc, 1, out)
+        self.assertIn("negative self time", out)
+
+    def test_pool_narrower_than_declared_fails(self):
+        # Three children that each fill a pool declared two wide: the
+        # stage sums exceed the span they split.
+        rc, out = self.check_spans(
+            span(1, 0, "shard.run", 0, 1000, fanout=2),
+            *[span(2 + k, 1, "cache.store", 0, 1000) for k in range(3)])
+        self.assertEqual(rc, 1, out)
+        self.assertIn("negative self time", out)
+
+    def test_mostly_unattributed_fails(self):
+        rc, out = self.check_spans(span(1, 0, "replay", 0, 1000),
+                                   span(2, 1, "sink.emit", 0, 100))
+        self.assertEqual(rc, 1, out)
+        self.assertIn("residual", out)
 
 
 class Ledger(unittest.TestCase):
