@@ -57,7 +57,7 @@
 // be 0; rows land in --csv/--jsonl). Re-running after any interruption —
 // including a worker lost to kill -9 — resumes from the committed cells:
 //
-//   rv_cli sweep scale [cells] --cache-dir D [--shards K] [--packed-cache]
+//   rv_cli sweep scale [cells] --cache-dir D [--shards K]
 //          [--shard-index I] [--kill-worker W --kill-after N] [pipeline flags]
 //
 // --shard-index runs one shard in-process and skips the merge (the
@@ -180,8 +180,8 @@ int run_search_mode(runner::PipelineCli& cli,
   }
   const runner::SearchOutcome& so = *out.search();
   if (cli.has_cache() && report.cache_hits > 0) {
-    std::cout << "(outcome served from cache: " << cli.cache()->entry_path(spec)
-              << ")\n";
+    std::cout << "(outcome served from cache " << cli.cache_dir()
+              << ", fingerprint " << spec.fingerprint().hex() << ")\n";
   }
   std::cout << "best score " << so.best_score << " (cost " << so.best_cost
             << ", met " << (so.best_met ? "yes" : "no");
@@ -295,7 +295,6 @@ int run_sweep_scale_mode(runner::PipelineCli& cli,
     if (shard_index >= shards) return usage();
     runner::ShardWorkerOptions wopts;
     wopts.cache_dir = cli.cache_dir();
-    wopts.cache = cli.cache_options();
     wopts.threads = cli.threads();
     wopts.batch = true;
     wopts.progress = cli.progress();
@@ -312,7 +311,6 @@ int run_sweep_scale_mode(runner::PipelineCli& cli,
   runner::ShardDriverOptions dopts;
   dopts.cache_dir = cli.cache_dir();
   dopts.shards = shards;
-  dopts.cache = cli.cache_options();
   dopts.threads_per_worker = cli.threads();
   dopts.batch = true;
   dopts.progress = cli.progress();
@@ -361,7 +359,9 @@ int run_sweep_scale_mode(runner::PipelineCli& cli,
   // Merge/verify: the whole grid through ONE pipeline against the shared
   // cache. Every cell must be a hit, and pipeline determinism makes the
   // emitted rows byte-identical to a single-process run at any shard count.
-  runner::SweepCache merge_cache(cli.cache_dir(), cli.cache_options());
+  // A fresh cache object: the CLI's own opened before the workers appended
+  // their segments, and a cache sees only segments present at open.
+  runner::SweepCache merge_cache(cli.cache_dir());
   runner::PipelineOptions popts = cli.options();
   popts.cache = &merge_cache;
   popts.batch = true;
@@ -764,8 +764,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (cli.has_cache() && report.cache_hits > 0) {
-      std::cout << "(outcome served from cache: "
-                << cli.cache()->entry_path(spec) << ")\n";
+      std::cout << "(outcome served from cache " << cli.cache_dir()
+                << ", fingerprint " << spec.fingerprint().hex() << ")\n";
     }
 
     // Schedule-shape statistics from the recorded adversary decisions.

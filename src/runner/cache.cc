@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
@@ -655,73 +654,6 @@ std::optional<ExperimentOutcome> SweepCache::lookup_loose(
   }
 }
 
-void SweepCache::store(const ExperimentSpec& spec,
-                       const ExperimentOutcome& outcome) const {
-  try {
-    const std::string bytes = encode_outcome(spec, outcome, format_version_);
-    if (options_.packed) {
-      store_packed(spec.fingerprint(), bytes);
-    } else {
-      store_loose(spec, bytes);
-    }
-  } catch (const std::exception&) {
-    // Best-effort: a cache that cannot write is just a cache that misses.
-  }
-}
-
-void SweepCache::store_loose(const ExperimentSpec& spec,
-                             const std::string& bytes) const {
-  static std::atomic<std::uint64_t> counter{0};
-  const bool strict =
-      options_.durability == SweepCacheOptions::Durability::Strict;
-  const std::string final_path = entry_path(spec);
-  // pid + per-process counter: unique even when concurrent sweeps share
-  // the directory, so the rename below is the only visible mutation.
-  const std::string tmp_path = final_path + ".tmp." +
-                               std::to_string(::getpid()) + "." +
-                               std::to_string(counter.fetch_add(1));
-  // Raw POSIX writes so the temp file can be fsync'd BEFORE the rename:
-  // rename is atomic against concurrent readers but not against power
-  // loss — without the fsync a crash after the rename commits can leave
-  // a zero-length (or partial) file under the final name. A truncated
-  // entry still only degrades to a miss (decode_outcome's strict
-  // trailer), but the fsync keeps committed entries actually durable.
-  // Batch durability trades exactly that away: no fsync until flush(),
-  // one directory fsync per pipeline flush instead of two syncs per cell.
-  const int fd = ::open(tmp_path.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return;
-  bool write_ok = write_all(fd, bytes.data(), bytes.size());
-  if (write_ok && strict && ::fsync(fd) != 0) write_ok = false;
-  ::close(fd);
-  std::error_code ec;
-  if (!write_ok) {
-    std::filesystem::remove(tmp_path, ec);
-    return;
-  }
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_path, ec);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.stores;
-  stats_.store_bytes += bytes.size();
-  sc_in().stores.add(1);
-  sc_in().store_bytes.add(bytes.size());
-  if (strict) {
-    // And the directory entry itself, so the rename survives a crash too.
-    ++stats_.fsyncs;  // the entry fsync above
-    sc_in().fsyncs.add(1);
-    if (fsync_dir(dir_)) {
-      ++stats_.fsyncs;
-      sc_in().fsyncs.add(1);
-    }
-  } else {
-    loose_dir_dirty_ = true;  // flush() settles the directory once per batch
-  }
-}
-
 bool SweepCache::ensure_active_locked() const {
   if (active_broken_) return false;
   if (active_segment_ >= 0) return true;
@@ -756,35 +688,43 @@ bool SweepCache::ensure_active_locked() const {
   return false;
 }
 
-void SweepCache::store_packed(const Fingerprint& fp,
-                              const std::string& bytes) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!ensure_active_locked()) return;
-  // Frame + payload in ONE write so a crash tears at most the tail record.
-  std::string buf = "rec " + fp.hex() + " " + std::to_string(bytes.size()) +
-                    "\n" + bytes;
-  const int fd = segments_[static_cast<std::size_t>(active_segment_)].fd;
-  if (!write_all(fd, buf.data(), buf.size())) {
-    // A half-written tail is unrecoverable through this fd's bookkeeping;
-    // stop appending (readers degrade the tear to misses) but keep serving.
-    active_broken_ = true;
-    return;
-  }
-  const Loc loc{static_cast<std::uint32_t>(active_segment_),
-                active_offset_ + (buf.size() - bytes.size()),
-                static_cast<std::uint32_t>(bytes.size())};
-  active_offset_ += buf.size();
-  index_[fp] = loc;
-  active_records_.emplace_back(fp, loc);
-  ++pending_records_;
-  ++stats_.stores;
-  stats_.store_bytes += bytes.size();
-  ++stats_.pack_records;
-  sc_in().stores.add(1);
-  sc_in().store_bytes.add(bytes.size());
-  sc_in().pack_records.add(1);
-  if (options_.flush_every > 0 && pending_records_ >= options_.flush_every) {
-    flush_locked();
+void SweepCache::store(const ExperimentSpec& spec,
+                       const ExperimentOutcome& outcome) const {
+  try {
+    const Fingerprint fp = spec.fingerprint();
+    const std::string bytes = encode_outcome(spec, outcome, format_version_);
+    // Frame + payload in ONE write so a crash tears at most the tail record.
+    const std::string buf = "rec " + fp.hex() + " " +
+                            std::to_string(bytes.size()) + "\n" + bytes;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!ensure_active_locked()) return;
+    const int fd = segments_[static_cast<std::size_t>(active_segment_)].fd;
+    if (!write_all(fd, buf.data(), buf.size())) {
+      // A half-written tail is unrecoverable through this fd's bookkeeping;
+      // stop appending (readers degrade the tear to misses) but keep
+      // serving.
+      active_broken_ = true;
+      return;
+    }
+    const Loc loc{static_cast<std::uint32_t>(active_segment_),
+                  active_offset_ + (buf.size() - bytes.size()),
+                  static_cast<std::uint32_t>(bytes.size())};
+    active_offset_ += buf.size();
+    index_[fp] = loc;
+    active_records_.emplace_back(fp, loc);
+    ++pending_records_;
+    ++stats_.stores;
+    stats_.store_bytes += bytes.size();
+    ++stats_.pack_records;
+    sc_in().stores.add(1);
+    sc_in().store_bytes.add(bytes.size());
+    sc_in().pack_records.add(1);
+    if (options_.flush_every > 0 &&
+        pending_records_ >= options_.flush_every) {
+      flush_locked();
+    }
+  } catch (const std::exception&) {
+    // Best-effort: a cache that cannot write is just a cache that misses.
   }
 }
 
@@ -801,13 +741,6 @@ void SweepCache::flush_locked() const {
       sc_in().fsyncs.add(1);
       pending_records_ = 0;
     }
-  }
-  if (loose_dir_dirty_) {
-    if (fsync_dir(dir_)) {
-      ++stats_.fsyncs;
-      sc_in().fsyncs.add(1);
-    }
-    loose_dir_dirty_ = false;
   }
 }
 
@@ -850,8 +783,8 @@ SweepCache::CompactStats SweepCache::compact() const {
   try {
     seal_active_locked();
 
-    // Latest record per fingerprint: pack index first, then valid loose
-    // entries override (a loose file is an explicit later store).
+    // One record per fingerprint: pack index first, then valid loose
+    // entries override (both copies encode the same spec's outcome).
     struct Pending {
       std::string bytes;
       bool from_loose = false;

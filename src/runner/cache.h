@@ -8,44 +8,40 @@
 // of the spec, so the substitution is exact — the pipeline's reports are
 // byte-identical whether a cell was executed or loaded.
 //
-// Two on-disk representations coexist in one cache directory:
+// Writes append to a log-structured PACK segment (`*.cachepack`, format
+// `asyncrv.cachepack.v1`, DESIGN.md §10): framed entries, fsynced once
+// per group-commit flush() instead of once per cell, one private segment
+// per cache object so concurrent processes never interleave appends. A
+// gracefully closed segment is sealed with a footer index so reopening
+// seeks straight to the index; a segment cut short by a crash (no footer,
+// torn tail) is recovered by a sequential scan that keeps every record
+// before the first damaged byte — corruption degrades to misses for the
+// torn tail only.
 //
-//  * LOOSE entries — one `<fingerprint>.outcome` file per cell, written
-//    through temp-file + atomic rename. Simple, safely shared between
-//    unrelated processes, but at a million cells the per-entry open +
-//    fsync + rename + directory-fsync sequence IS the sweep's wall clock.
-//  * PACK segments — log-structured `*.cachepack` files (format
-//    `asyncrv.cachepack.v1`, DESIGN.md §10) that append many framed
-//    entries and fsync once per group-commit flush() instead of once per
-//    cell. A gracefully closed segment is sealed with a footer index so
-//    reopening seeks straight to the index; a segment cut short by a
-//    crash (no footer, torn tail) is recovered by a sequential scan that
-//    keeps every record before the first damaged byte — corruption
-//    degrades to misses for the torn tail only.
+// LOOSE entries — one `<fingerprint>.outcome` file per cell, what older
+// releases wrote — are still read: lookup() falls back to the loose file
+// on a pack miss, and `rv_cli cache pack` (compact()) migrates a loose
+// directory into one sealed segment. Nothing writes them any more.
 //
-// Reads always see both: open() loads every segment's fingerprint→offset
-// map into memory and lookup() consults it before falling back to the
-// loose file, so packed and loose writers interoperate and `rv_cli cache
-// pack` can migrate a loose directory without invalidating anything.
-// Writes go loose by default; SweepCacheOptions::packed opts a writer into
-// appending to its own private segment (one segment per cache object, so
-// concurrent processes never interleave appends).
+// Visibility: open() loads the fingerprint→offset map of every segment
+// present at that moment, and the object's own appends join the map as
+// they land. Segments that other processes append to later are NOT seen
+// until the cache is reopened — a running daemon picks up a concurrent
+// local run's cells only after it restarts.
 //
 // Robustness contract: the cache is best-effort and NEVER an error source.
 //  * a missing, truncated, corrupted or version-mismatched entry is a miss
-//    (the cell simply runs again and the entry is rewritten);
+//    (the cell simply runs again and the entry is re-appended);
 //  * the stored canonical spec is compared against the probe on every hit,
 //    so a fingerprint collision (or a foreign file) degrades to a miss;
 //  * store() failures (read-only dir, disk full) are swallowed;
-//  * loose writes go through a temp file + atomic rename, so concurrent
-//    sweeps sharing a directory never observe half-written entries;
-//  * a pack record is COMMITTED once flush() has fsynced it — kill -9
-//    loses at most the unflushed tail, and those cells simply re-execute.
+//  * a record is COMMITTED once flush() has fsynced it — kill -9 loses at
+//    most the unflushed tail, and those cells simply re-execute.
 //
 // Entries are versioned (`asyncrv.cache.v<N>`): bumping kFormatVersion —
 // required whenever the outcome serialization or simulator semantics
 // change — invalidates every existing entry wholesale (pack records frame
-// the same entry bytes, so the version check is unchanged).
+// the same entry bytes as loose files, so one version check serves both).
 #pragma once
 
 #include <cstdint>
@@ -77,24 +73,13 @@ std::optional<ExperimentOutcome> decode_outcome(const ExperimentSpec& spec,
                                                 std::uint32_t format_version);
 
 struct SweepCacheOptions {
-  /// Append outcomes to a private pack segment (group-commit durability)
-  /// instead of writing one loose file per cell. Reads are unaffected —
-  /// every cache sees both representations.
-  bool packed = false;
+  /// No effect; every writer packs; delete with the next benchmark change
+  /// (the benchmark still sets it).
+  bool packed = true;
 
-  /// Durability of the LOOSE store path.
-  ///  * Strict — PR 7 semantics, the default: fsync the entry before the
-  ///    rename and the directory after it, every store.
-  ///  * Batch  — opt-in amortization: entries rename in without any fsync
-  ///    and flush() fsyncs the directory once per pipeline flush. A crash
-  ///    can leave a torn entry under its final name, which decode's strict
-  ///    trailer degrades to a miss — the cell re-executes and heals.
-  enum class Durability { Strict, Batch };
-  Durability durability = Durability::Strict;
-
-  /// Packed mode: auto-group-commit after this many appended records
-  /// (bounds the re-execution window of a crash between pipeline
-  /// flushes). 0 = only explicit flush() calls commit.
+  /// Auto-group-commit after this many appended records (bounds the
+  /// re-execution window of a crash between pipeline flushes). 0 = only
+  /// explicit flush() calls commit.
   std::uint64_t flush_every = 1024;
 };
 
@@ -123,14 +108,12 @@ class SweepCache {
   /// Thread-safe; consults pack segments first, then the loose file.
   std::optional<ExperimentOutcome> lookup(const ExperimentSpec& spec) const;
 
-  /// Persists the outcome under the spec's fingerprint (best-effort,
-  /// thread-safe). Loose file by default; appended to this cache's pack
-  /// segment under SweepCacheOptions::packed.
+  /// Appends the outcome to this cache's pack segment under the spec's
+  /// fingerprint (best-effort, thread-safe). Durable once flush() returns.
   void store(const ExperimentSpec& spec,
              const ExperimentOutcome& outcome) const;
 
-  /// Group commit: fsyncs the pack segment (packed mode) or the cache
-  /// directory (loose Batch durability). One call per pipeline flush is
+  /// Group commit: fsyncs this cache's pack segment. One call per run is
   /// the whole point — ExperimentPipeline::run calls it once at the end,
   /// and anything stored before a flush() returned is crash-durable
   /// ("committed"). No-op when nothing is pending.
@@ -138,8 +121,8 @@ class SweepCache {
 
   const std::string& dir() const { return dir_; }
 
-  /// Path of the LOOSE entry for this spec (what store() writes when not
-  /// packed, and the lookup fallback).
+  /// Path of the LOOSE entry for this spec — the lookup fallback for
+  /// directories written by older releases (store() never writes it).
   std::string entry_path(const ExperimentSpec& spec) const;
 
   /// Observability counters (cumulative since construction).
@@ -195,8 +178,6 @@ class SweepCache {
   void flush_locked() const;
   std::optional<ExperimentOutcome> lookup_loose(const ExperimentSpec& spec,
                                                 std::uint64_t* bytes) const;
-  void store_loose(const ExperimentSpec& spec, const std::string& bytes) const;
-  void store_packed(const Fingerprint& fp, const std::string& bytes) const;
 
   std::string dir_;
   std::uint32_t format_version_;
@@ -210,7 +191,6 @@ class SweepCache {
   mutable std::vector<std::pair<Fingerprint, Loc>> active_records_;
   mutable std::uint64_t pending_records_ = 0;  ///< appended since last fsync
   mutable bool active_broken_ = false;  ///< append failed; stop packing
-  mutable bool loose_dir_dirty_ = false;       ///< Batch-durability renames
   mutable Stats stats_;
 };
 

@@ -16,17 +16,7 @@ PipelineCli::~PipelineCli() {
 
 const char* PipelineCli::flags_help() {
   return "[--csv <path>] [--jsonl <path>] [--cache-dir <dir>] "
-         "[--packed-cache] [--batch-durability] [--threads <n>] [--batch] "
-         "[--progress] [--trace-out <path>]";
-}
-
-SweepCacheOptions PipelineCli::cache_options() const {
-  SweepCacheOptions copts;
-  copts.packed = packed_cache_;
-  copts.durability = batch_durability_
-                         ? SweepCacheOptions::Durability::Batch
-                         : SweepCacheOptions::Durability::Strict;
-  return copts;
+         "[--threads <n>] [--batch] [--progress] [--trace-out <path>]";
 }
 
 std::vector<std::string> PipelineCli::parse(int argc, char** argv) {
@@ -45,10 +35,6 @@ std::vector<std::string> PipelineCli::parse(int argc, char** argv) {
       jsonl_ = std::make_unique<JsonlSink>(value());
     } else if (arg == "--cache-dir") {
       cache_dir_ = value();
-    } else if (arg == "--packed-cache") {
-      packed_cache_ = true;
-    } else if (arg == "--batch-durability") {
-      batch_durability_ = true;
     } else if (arg == "--progress") {
       progress_ = true;
     } else if (arg == "--trace-out") {
@@ -76,11 +62,7 @@ std::vector<std::string> PipelineCli::parse(int argc, char** argv) {
       rest.push_back(arg);
     }
   }
-  // Deferred so --packed-cache / --batch-durability apply regardless of
-  // their position relative to --cache-dir.
-  if (!cache_dir_.empty()) {
-    cache_ = std::make_unique<SweepCache>(cache_dir_, cache_options());
-  }
+  if (!cache_dir_.empty()) cache_ = std::make_unique<SweepCache>(cache_dir_);
   return rest;
 }
 

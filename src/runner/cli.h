@@ -6,10 +6,6 @@
 //   --csv <path>       write the sweep table as CSV
 //   --jsonl <path>     write the sweep table as JSON Lines
 //   --cache-dir <dir>  persistent sweep cache (created if missing)
-//   --packed-cache     append cache writes to pack segments with
-//                      group-commit fsync (cache.h; reads see both forms)
-//   --batch-durability loose-file stores skip per-entry fsyncs; the
-//                      directory is fsync'd once per pipeline flush
 //   --threads <n>      worker threads (default: hardware concurrency)
 //   --batch            batched lockstep execution of rendezvous cells
 //                      (sim/batch_engine.h; bit-identical output)
@@ -66,9 +62,6 @@ class PipelineCli {
   bool progress() const { return progress_; }
   const std::string& trace_out() const { return trace_out_; }
   const std::string& cache_dir() const { return cache_dir_; }
-  /// The cache options the flags resolved to (what parse() constructed the
-  /// cache with) — lets drivers open per-worker caches configured the same.
-  SweepCacheOptions cache_options() const;
 
  private:
   std::unique_ptr<CsvSink> csv_;
@@ -78,8 +71,6 @@ class PipelineCli {
   std::string trace_out_;
   int threads_ = 0;
   bool batch_ = false;
-  bool packed_cache_ = false;
-  bool batch_durability_ = false;
   bool progress_ = false;
 };
 

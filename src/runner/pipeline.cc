@@ -321,18 +321,59 @@ PipelineReport ExperimentPipeline::run(std::vector<ExperimentSpec> specs) const 
   const obs::ObsSpan run_span("pipeline.run", "pipeline");
 
   ProgressMeter progress(options_.progress, specs.size());
-  std::mutex stream_mutex;
-  const auto deliver = [&](const ExperimentSpec& spec, ExperimentOutcome& out) {
-    if (!options_.on_outcome) return;
-    // Serialize the stream so callbacks may print / aggregate freely; a
-    // throwing callback must not escape a worker (std::terminate) — it is
-    // recorded on the outcome instead.
-    const std::lock_guard<std::mutex> lock(stream_mutex);
-    try {
-      options_.on_outcome(spec, out);
-    } catch (const std::exception& e) {
-      record_callback_error(out, e);
+
+  // The commit cursor: outcomes are committed — stored, then delivered to
+  // on_outcome — strictly in spec order, cache hits included, whatever
+  // order the workers finish them in. So the cache's segment bytes and the
+  // streamed order are independent of scheduling. Whoever marks outcomes
+  // ready while nobody holds the cursor takes it and commits the ready
+  // prefix; a worker that finds it held leaves its outcomes to the holder.
+  enum : std::uint8_t { kPending, kServed, kExecuted };
+  std::vector<std::uint8_t> state(specs.size(), kPending);
+  std::mutex commit_mutex;
+  std::size_t cursor = 0;
+  bool cursor_held = false;
+  // Store before the callback (a throwing callback is an environmental
+  // failure of THIS run — and the shard driver's kill_after counts on
+  // every delivered outcome being stored) and never store transient
+  // errors: both would poison the cache with failures a re-run could
+  // avoid. A throwing callback is recorded on the outcome instead.
+  const auto commit = [&](std::size_t i, bool executed) {
+    ExperimentOutcome& out = report.outcomes[i];
+    if (executed && options_.cache && !out.transient_error) {
+      const StageTimer store_stage("cache.store", in.store_ns);
+      options_.cache->store(specs[i], out);
     }
+    if (options_.on_outcome) {
+      try {
+        options_.on_outcome(specs[i], out);
+      } catch (const std::exception& e) {
+        record_callback_error(out, e);
+      }
+    }
+    if (executed) in.executed.add(1);
+    in.outcomes.add(1);
+    progress.tick();
+  };
+  const auto mark_ready = [&](const std::size_t* first,
+                              const std::size_t* last, std::uint8_t how) {
+    std::unique_lock<std::mutex> lock(commit_mutex);
+    for (; first != last; ++first) state[*first] = how;
+    if (cursor_held) return;
+    cursor_held = true;
+    while (cursor < state.size() && state[cursor] != kPending) {
+      const std::size_t begin = cursor;
+      while (cursor < state.size() && state[cursor] != kPending) ++cursor;
+      const std::size_t end = cursor;
+      // Ready slots are written once and never again, so the holder reads
+      // and commits them outside the lock.
+      lock.unlock();
+      for (std::size_t i = begin; i < end; ++i) {
+        commit(i, state[i] == kExecuted);
+      }
+      lock.lock();
+    }
+    cursor_held = false;
   };
 
   // Phase 1 — serve what the cache already knows.
@@ -344,10 +385,8 @@ PipelineReport ExperimentPipeline::run(std::vector<ExperimentSpec> specs) const 
         cached->index = i;
         ++report.cache_hits;
         in.cache_hits.add(1);
-        deliver(specs[i], *cached);
         report.outcomes[i] = std::move(*cached);
-        in.outcomes.add(1);
-        progress.tick();
+        mark_ready(&i, &i + 1, kServed);
       } else {
         misses.push_back(i);
       }
@@ -393,20 +432,6 @@ PipelineReport ExperimentPipeline::run(std::vector<ExperimentSpec> specs) const 
     // reuse the occupancy index and sweep scratch instead of reallocating
     // per run. Outcomes are unaffected (tests/pipeline_test.cc).
     sim::EngineScratch scratch;
-    // Store before the callback (a throwing callback is an environmental
-    // failure of THIS run) and never store transient errors — both would
-    // poison the cache with failures a re-run could avoid.
-    const auto store_and_deliver = [&](std::size_t i) {
-      ExperimentOutcome& out = report.outcomes[i];
-      if (options_.cache && !out.transient_error) {
-        const StageTimer store_stage("cache.store", in.store_ns);
-        options_.cache->store(specs[i], out);
-      }
-      deliver(specs[i], out);
-      in.executed.add(1);
-      in.outcomes.add(1);
-      progress.tick();
-    };
     while (true) {
       const std::size_t j = next.fetch_add(1);
       if (j >= n_jobs) return;
@@ -421,7 +446,8 @@ PipelineReport ExperimentPipeline::run(std::vector<ExperimentSpec> specs) const 
           batched.fetch_add(lanes);
           in.batched_lanes.add(lanes);
         }
-        for (const std::size_t i : batches[j].indices) store_and_deliver(i);
+        const std::vector<std::size_t>& done = batches[j].indices;
+        mark_ready(done.data(), done.data() + done.size(), kExecuted);
         continue;
       }
       const std::size_t i = scalar_misses[j - batches.size()];
@@ -431,7 +457,7 @@ PipelineReport ExperimentPipeline::run(std::vector<ExperimentSpec> specs) const 
         out.index = i;
         report.outcomes[i] = std::move(out);
       }
-      store_and_deliver(i);
+      mark_ready(&i, &i + 1, kExecuted);
     }
   };
 
@@ -447,10 +473,10 @@ PipelineReport ExperimentPipeline::run(std::vector<ExperimentSpec> specs) const 
     }
   }
   report.batched = batched.load();
+  ASYNCRV_CHECK(cursor == specs.size());
 
-  // Group commit: whatever the cache buffered during this run (packed
-  // appends, or Batch-durability loose renames) becomes durable with one
-  // fsync here instead of one per cell.
+  // Group commit: whatever the cache appended during this run becomes
+  // durable with one fsync here instead of one per cell.
   if (options_.cache) {
     const StageTimer stage("cache.flush", in.flush_ns);
     options_.cache->flush();

@@ -5,12 +5,13 @@
 //   specs -> fingerprints -> cache lookups -> thread-pooled execution of
 //   the misses -> cache stores -> typed result rows -> sinks + aggregates.
 //
-// Every scenario is a pure function of its spec, outcomes are re-ordered
-// into spec order before rows and aggregates are produced, and cached
-// outcomes round-trip exactly — so the report (including every byte a sink
+// Every scenario is a pure function of its spec, outcomes are committed
+// (stored, then streamed) and reported in spec order, and cached outcomes
+// round-trip exactly — so the report (including every byte a sink
 // receives) is identical for every thread count and for any cold/warm cache
-// split of the same batch. tests/pipeline_test.cc and tests/cache_test.cc
-// enforce both properties.
+// split of the same batch, and so are the cache segment bytes of a cold
+// run. tests/pipeline_test.cc, tests/cache_test.cc and tests/pack_test.cc
+// enforce these properties.
 //
 // Aggregation lives here, not in the harnesses: the report carries overall
 // totals (errored scenarios excluded from cost aggregates — they ran no
@@ -118,10 +119,13 @@ struct PipelineOptions {
   /// (served or executed). Off by default — stderr chatter only; the
   /// report and every sink byte are unaffected either way.
   bool progress = false;
-  /// Streamed per-outcome callback, invoked as scenarios finish or are
-  /// loaded from cache (serialized by the pipeline; arbitrary order). A
-  /// throw is contained and marks the outcome errored — after the outcome
-  /// was cached, so environmental callback failures never poison the cache.
+  /// Streamed per-outcome callback, invoked once per scenario in spec
+  /// order (cache hits included) as soon as it and every earlier scenario
+  /// have finished or been loaded; calls are serialized. Each executed
+  /// outcome is stored to the cache before its callback, so a callback
+  /// sees a committed prefix. A throw is contained and marks the outcome
+  /// errored — after the outcome was cached, so environmental callback
+  /// failures never poison the cache.
   std::function<void(const ExperimentSpec&, const ExperimentOutcome&)>
       on_outcome;
 };

@@ -7,7 +7,7 @@
 // and commits outcomes under spec fingerprints. Because shard_of is a pure
 // function of the fingerprint, the shards are disjoint — no two workers
 // ever store the same cell, so they share the directory without any
-// locking beyond what the cache's own append/rename discipline provides
+// locking beyond the cache's own private-segment append discipline
 // (separate machines pointing at one networked --cache-dir partition the
 // same way). Resumption is free: a worker that died mid-shard left its
 // committed prefix in the cache, and the re-run serves those cells as hits
@@ -53,7 +53,7 @@ struct ShardWorkerStats {
 
 struct ShardWorkerOptions {
   std::string cache_dir;
-  SweepCacheOptions cache;  ///< packed / durability / flush_every
+  SweepCacheOptions cache;  ///< group-commit cadence (flush_every)
   int threads = 0;          ///< per-worker pipeline threads (0 = hardware)
   bool batch = true;        ///< batched lockstep engine for the misses
   std::size_t batch_size = 256;

@@ -43,8 +43,6 @@ int usage(const char* argv0) {
       << "usage: " << argv0 << " [options]\n"
       << "  --socket <path>       listen here (default /tmp/asyncrvd.sock)\n"
       << "  --cache-dir <dir>     persistent sweep cache (default: none)\n"
-      << "  --packed-cache        append outcomes to pack segments with\n"
-      << "                        group-commit fsync (DESIGN.md §10)\n"
       << "  --memory-cap <bytes>  LRU-evict interned graphs past this\n"
       << "                        footprint (accepts k/m/g; default: none)\n"
       << "  --jobs <n>            concurrent pipeline jobs (default 2)\n"
@@ -86,8 +84,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
       options.cache_dir = v;
-    } else if (arg == "--packed-cache") {
-      options.cache.packed = true;
     } else if (arg == "--memory-cap") {
       if (!number(options.memory_cap)) return usage(argv[0]);
     } else if (arg == "--jobs") {

@@ -151,43 +151,25 @@ void Server::run_job(const Job& job) {
   const std::size_t n = job.specs.size();
   const runner::Schema schema = runner::sweep_schema();
 
-  // Outcomes complete in arbitrary order; the wire promises spec order
-  // (that is what makes the stream byte-comparable to a JSONL file of the
-  // same run). Hold rows back and release the contiguous prefix.
-  std::vector<std::string> lines(n);
-  std::vector<bool> ready(n, false);
-  std::size_t next = 0;
-
   runner::PipelineOptions popts;
   popts.threads = options_.threads_per_job;
   popts.cache = cache_ ? &*cache_ : nullptr;
   popts.graph_cache = &graphs_;
   popts.batch = options_.batch;
   popts.batch_size = options_.batch_size;
+  // The pipeline delivers outcomes in spec order — what the wire promises,
+  // and what makes the stream byte-comparable to a JSONL file of the same
+  // run — so each row streams as soon as it arrives.
   popts.on_outcome = [&](const runner::ExperimentSpec& spec,
                          const runner::ExperimentOutcome& outcome) {
     // The pipeline serializes this callback; a throw would mark the
     // outcome errored, so everything here is best-effort.
     try {
-      const std::size_t i = outcome.index;
-      if (i < n && !ready[i]) {
-        lines[i] = runner::jsonl_line(schema,
-                                      runner::sweep_row(spec, outcome));
-        ready[i] = true;
-      }
-      std::string chunk;
-      std::uint64_t flushed = 0;
-      while (next < n && ready[next]) {
-        chunk += "row " + lines[next];
-        lines[next].clear();
-        ++next;
-        ++flushed;
-      }
-      if (!chunk.empty()) {
-        rows_streamed_.fetch_add(flushed, std::memory_order_relaxed);
-        DaemonInstruments::get().rows_streamed.add(flushed);
-        post(job.conn_gen, std::move(chunk));
-      }
+      std::string row =
+          "row " + runner::jsonl_line(schema, runner::sweep_row(spec, outcome));
+      rows_streamed_.fetch_add(1, std::memory_order_relaxed);
+      DaemonInstruments::get().rows_streamed.add(1);
+      post(job.conn_gen, std::move(row));
       post(0, "event job=" + std::to_string(job.id) +
                   " index=" + std::to_string(outcome.index) +
                   " of=" + std::to_string(n) + " status=" +

@@ -65,9 +65,9 @@ struct ServerOptions {
   std::string socket_path = "/tmp/asyncrvd.sock";
   /// Sweep-cache directory; empty = no persistent cache.
   std::string cache_dir;
-  /// Store behaviour of the sweep cache (packed segments, durability).
-  /// A long-lived daemon serving large sweeps wants `packed = true` —
-  /// group-commit fsync instead of two fsyncs per cell (DESIGN.md §10).
+  /// Group-commit cadence of the sweep cache (DESIGN.md §10). The daemon
+  /// opens the cache once at start, so it sees cells other processes
+  /// append to the directory later only after a restart.
   runner::SweepCacheOptions cache;
   /// LRU-evict interned graphs down to this many resident bytes after
   /// every job; 0 = uncapped.

@@ -3,9 +3,6 @@
 // tolerance contract (a bad entry is a miss, never an error).
 #include "runner/cache.h"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -58,6 +55,13 @@ std::string read_file(const std::string& path) {
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << bytes;
+}
+
+/// The encoded entry of a live run of `spec` — the bytes a pack record
+/// frames and a loose `<fingerprint>.outcome` file holds.
+std::string entry_bytes(const runner::ExperimentSpec& spec) {
+  return runner::encode_outcome(spec, runner::run_experiment(spec),
+                                runner::SweepCache::kFormatVersion);
 }
 
 TEST(CacheCodec, RendezvousOutcomeRoundTripsExactly) {
@@ -176,13 +180,14 @@ TEST(Cache, StoreThenLookupHits) {
 }
 
 TEST(Cache, TruncatedEntryIsAMissNotAnError) {
+  // Loose entries (what older releases wrote) are still served; plant one.
   const std::string dir = fresh_dir("trunc");
   const runner::SweepCache cache(dir);
   const runner::ExperimentSpec spec = rv_spec(42, /*record_schedule=*/true);
-  cache.store(spec, runner::run_experiment(spec));
   const std::string path = cache.entry_path(spec);
-  const std::string bytes = read_file(path);
-  ASSERT_FALSE(bytes.empty());
+  const std::string bytes = entry_bytes(spec);
+  write_file(path, bytes);
+  ASSERT_TRUE(cache.lookup(spec).has_value());
   // Every proper prefix must be a clean miss (the "end" trailer guards).
   for (const std::size_t keep :
        {bytes.size() - 1, bytes.size() / 2, std::size_t{17}, std::size_t{0}}) {
@@ -197,9 +202,10 @@ TEST(Cache, CorruptedEntryIsAMissNotAnError) {
   const std::string dir = fresh_dir("corrupt");
   const runner::SweepCache cache(dir);
   const runner::ExperimentSpec spec = rv_spec();
-  cache.store(spec, runner::run_experiment(spec));
   const std::string path = cache.entry_path(spec);
-  const std::string good = read_file(path);
+  const std::string good = entry_bytes(spec);
+  write_file(path, good);
+  ASSERT_TRUE(cache.lookup(spec).has_value());
 
   // Flipped cost digits -> still parses numerically; the decoder accepts
   // it (contents are trusted once the spec matches) — so corrupt the
@@ -319,35 +325,59 @@ TEST(Cache, EnvironmentalFailuresDoNotPoisonTheCache) {
 }
 
 TEST(Cache, TruncatedAtCommitEntryDegradesToMissAndHeals) {
-  // The crash-durability contract behind the fsync-before-rename store():
-  // whatever prefix of an entry survives a power cut — including zero
-  // bytes — the cache treats it as a miss, re-executes, and the re-store
-  // repairs the entry in place.
-  const runner::SweepCache cache(fresh_dir("truncated"));
+  // The crash-durability contract: whatever prefix of an entry survives a
+  // power cut — including zero bytes — is a miss, never a hit or an error.
+  // That holds for a loose entry cut short and for a pack record whose
+  // tail never reached the disk; the pack miss is repairable: a pipeline
+  // run re-executes the cell, re-appends it, and the next lookup hits.
+  const std::string dir = fresh_dir("truncated");
+  const runner::SweepCache cache(dir);
   const runner::ExperimentSpec spec = rv_spec();
-  const runner::ExperimentOutcome outcome = runner::run_experiment(spec);
-  cache.store(spec, outcome);
-  ASSERT_TRUE(cache.lookup(spec).has_value());
+  const std::string bytes = entry_bytes(spec);
+  const std::vector<std::size_t> keeps = {0, bytes.size() / 2,
+                                          bytes.size() - 1};
 
-  const std::string path = cache.entry_path(spec);
-  const auto full_size = fs::file_size(path);
-  ASSERT_GT(full_size, 0u);
-  for (const std::uintmax_t keep :
-       {std::uintmax_t{0}, full_size / 2, full_size - 1}) {
-    fs::resize_file(path, keep);
+  const std::string loose = cache.entry_path(spec);
+  for (const std::size_t keep : keeps) {
+    write_file(loose, bytes.substr(0, keep));
     EXPECT_FALSE(cache.lookup(spec).has_value())
-        << "a " << keep << "/" << full_size
-        << "-byte torso must be a miss, not a hit or an error";
+        << "a " << keep << "/" << bytes.size()
+        << "-byte loose torso must be a miss, not a hit or an error";
+  }
+  fs::remove(loose);
 
-    // The miss is repairable: a pipeline run re-executes and re-stores.
-    runner::PipelineOptions opts;
-    opts.cache = &cache;
+  runner::PipelineOptions opts;
+  opts.cache = &cache;
+  const std::string frame = "rec " + spec.fingerprint().hex() + " ";
+  for (const std::size_t keep : keeps) {
+    // Cold (first pass) or damaged (later passes): executes and re-appends.
     const auto report = runner::ExperimentPipeline(opts).run({spec});
     EXPECT_EQ(report.cache_hits, 0u);
     EXPECT_EQ(report.executed, 1u);
     ASSERT_TRUE(cache.lookup(spec).has_value());
-    EXPECT_EQ(fs::file_size(path), full_size);
+
+    // Zero the newest record's payload from byte `keep` on, in place.
+    std::string segment;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      if (e.path().extension() == ".cachepack") segment = e.path().string();
+    }
+    const std::string seg_bytes = read_file(segment);
+    const std::size_t frame_at = seg_bytes.rfind(frame);
+    ASSERT_NE(frame_at, std::string::npos);
+    const std::size_t payload = seg_bytes.find('\n', frame_at) + 1;
+    ASSERT_EQ(seg_bytes.substr(payload, bytes.size()), bytes);
+    {
+      std::fstream f(segment, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(static_cast<std::streamoff>(payload + keep));
+      f << std::string(bytes.size() - keep, '\0');
+    }
+    EXPECT_FALSE(cache.lookup(spec).has_value())
+        << "a " << keep << "/" << bytes.size()
+        << "-byte pack record must be a miss, not a hit or an error";
   }
+  const auto healed = runner::ExperimentPipeline(opts).run({spec});
+  EXPECT_EQ(healed.executed, 1u);
+  EXPECT_TRUE(cache.lookup(spec).has_value());
 }
 
 TEST(Cache, CachedErrorsAreServedWithoutReexecution) {
@@ -362,71 +392,6 @@ TEST(Cache, CachedErrorsAreServedWithoutReexecution) {
   EXPECT_EQ(second.executed, 0u);
   EXPECT_EQ(second.totals.errored, 1u);
   EXPECT_EQ(second.outcomes[0].error, first.outcomes[0].error);
-}
-
-TEST(Cache, TwoProcessesRacingTheSameLooseEntryNeverTearIt) {
-  // Concurrent sweeps sharing a directory may store the SAME fingerprint
-  // at the same time. The tmp-file + atomic-rename discipline makes that
-  // a benign last-writer-wins race: at every moment the entry either does
-  // not exist or is one writer's complete bytes — never a splice.
-  const std::string dir = fresh_dir("race");
-  const runner::ExperimentSpec spec = rv_spec();
-  const runner::ExperimentOutcome outcome = runner::run_experiment(spec);
-  constexpr int kRounds = 200;
-
-  const ::pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    const runner::SweepCache cache(dir);
-    for (int i = 0; i < kRounds; ++i) cache.store(spec, outcome);
-    ::_exit(0);
-  }
-  const runner::SweepCache cache(dir);
-  std::uint64_t observed = 0;
-  for (int i = 0; i < kRounds; ++i) {
-    cache.store(spec, outcome);
-    // Interleave lookups with the racing stores: every hit must decode
-    // (decode_outcome's strict trailer catches any torn file).
-    const auto hit = cache.lookup(spec);
-    if (hit.has_value()) {
-      ++observed;
-      EXPECT_EQ(hit->status, outcome.status);
-      EXPECT_EQ(hit->cost, outcome.cost);
-    }
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  EXPECT_EQ(observed, static_cast<std::uint64_t>(kRounds));
-
-  // Both writers encoded the same spec, so the surviving file decodes to
-  // the identical outcome no matter who won the last rename.
-  const auto final_hit = cache.lookup(spec);
-  ASSERT_TRUE(final_hit.has_value());
-  EXPECT_EQ(final_hit->cost, outcome.cost);
-}
-
-TEST(Cache, BatchDurabilityAmortizesFsyncsToOnePerFlush) {
-  // Strict (default) pays two fsyncs per store (entry + directory);
-  // Batch pays zero per store and one directory fsync per flush().
-  const runner::ExperimentSpec spec = rv_spec();
-  const runner::ExperimentOutcome outcome = runner::run_experiment(spec);
-  constexpr std::uint64_t kStores = 5;
-
-  const runner::SweepCache strict(fresh_dir("durability_strict"));
-  for (std::uint64_t i = 0; i < kStores; ++i) strict.store(spec, outcome);
-  EXPECT_EQ(strict.stats().fsyncs, 2 * kStores);
-
-  runner::SweepCacheOptions bopts;
-  bopts.durability = runner::SweepCacheOptions::Durability::Batch;
-  const runner::SweepCache batch(fresh_dir("durability_batch"), bopts);
-  for (std::uint64_t i = 0; i < kStores; ++i) batch.store(spec, outcome);
-  EXPECT_EQ(batch.stats().fsyncs, 0u);
-  batch.flush();
-  EXPECT_EQ(batch.stats().fsyncs, 1u);
-  batch.flush();  // nothing pending — no extra fsync
-  EXPECT_EQ(batch.stats().fsyncs, 1u);
-  EXPECT_TRUE(batch.lookup(spec).has_value());
 }
 
 }  // namespace

@@ -43,10 +43,13 @@ void write_file(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-runner::SweepCacheOptions packed_options() {
-  runner::SweepCacheOptions o;
-  o.packed = true;
-  return o;
+/// Plants the loose `<fingerprint>.outcome` entry of `spec` — the
+/// representation older releases wrote, still read and migrated.
+void plant_loose(const runner::SweepCache& cache,
+                 const runner::ExperimentSpec& spec) {
+  write_file(cache.entry_path(spec),
+             runner::encode_outcome(spec, runner::run_experiment(spec),
+                                    runner::SweepCache::kFormatVersion));
 }
 
 /// The `*.cachepack` files currently in `dir`, sorted.
@@ -72,13 +75,13 @@ std::size_t sealed_payload_end(const std::string& segment_bytes) {
 /// object (sealed on return).
 void populate_packed(const std::string& dir,
                      const std::vector<runner::ExperimentSpec>& specs) {
-  const runner::SweepCache cache(dir, packed_options());
+  const runner::SweepCache cache(dir);
   for (const auto& spec : specs) cache.store(spec, runner::run_experiment(spec));
 }
 
 std::uint64_t count_hits(const std::string& dir,
                          const std::vector<runner::ExperimentSpec>& specs) {
-  const runner::SweepCache cache(dir, packed_options());
+  const runner::SweepCache cache(dir);
   std::uint64_t hits = 0;
   for (const auto& spec : specs) hits += cache.lookup(spec).has_value();
   return hits;
@@ -96,7 +99,7 @@ TEST(Pack, StoreSealReopenServesEveryRecord) {
   EXPECT_EQ(bytes.rfind("asyncrv.cachepack.v1\n", 0), 0u);
   EXPECT_NE(bytes.rfind("footer "), std::string::npos);
 
-  const runner::SweepCache cache(dir, packed_options());
+  const runner::SweepCache cache(dir);
   const auto cs = cache.stats();
   EXPECT_EQ(cs.segments, 1u);
   EXPECT_EQ(cs.pack_records, specs.size());
@@ -115,7 +118,7 @@ TEST(Pack, WarmPipelineRunExecutesNothing) {
   const std::string dir = fresh_dir("pack_warm");
   const auto specs = runner::scale_grid(32);
   {
-    const runner::SweepCache cache(dir, packed_options());
+    const runner::SweepCache cache(dir);
     runner::PipelineOptions popts;
     popts.threads = 1;
     popts.batch = true;
@@ -123,7 +126,7 @@ TEST(Pack, WarmPipelineRunExecutesNothing) {
     const auto cold = runner::ExperimentPipeline(popts).run(specs);
     EXPECT_EQ(cold.executed, specs.size());
   }
-  const runner::SweepCache cache(dir, packed_options());
+  const runner::SweepCache cache(dir);
   runner::PipelineOptions popts;
   popts.threads = 1;
   popts.batch = true;
@@ -131,6 +134,35 @@ TEST(Pack, WarmPipelineRunExecutesNothing) {
   const auto warm = runner::ExperimentPipeline(popts).run(specs);
   EXPECT_EQ(warm.executed, 0u);
   EXPECT_EQ(warm.cache_hits, specs.size());
+
+  // Cold runs commit in spec order, so they write byte-identical segments
+  // at 1 and 4 threads, scalar or batched, however the workers race. The
+  // first cells run to their budget while the rest meet within a few
+  // hundred traversals, so the pool finishes them out of spec order.
+  const auto mixed = runner::rendezvous_grid(
+      {"path:16", "edge", "ring:3", "star:5"}, {"fair", "random50"},
+      {{9, 14}, {1, 2}}, /*budget=*/200'000, /*seed=*/1);
+  for (const bool batch : {false, true}) {
+    std::vector<std::string> segments;
+    for (const int threads : {1, 4}) {
+      const std::string cold_dir = fresh_dir("pack_cold_t" +
+                                             std::to_string(threads));
+      {
+        const runner::SweepCache cold_cache(cold_dir);
+        runner::PipelineOptions cold;
+        cold.threads = threads;
+        cold.batch = batch;
+        cold.batch_size = 2;
+        cold.cache = &cold_cache;
+        runner::ExperimentPipeline(cold).run(mixed);
+      }
+      const auto segs = segment_paths(cold_dir);
+      ASSERT_EQ(segs.size(), 1u);
+      segments.push_back(read_file(segs[0]));
+    }
+    EXPECT_EQ(segments[0], segments[1])
+        << "segment bytes depend on the thread count (batch=" << batch << ")";
+  }
 }
 
 TEST(Pack, CorruptedFooterFallsBackToScan) {
@@ -171,7 +203,7 @@ TEST(Pack, TruncationMidRecordKeepsThePrefixAndHeals) {
   // A pipeline re-run heals: exactly the torn cell re-executes, and the
   // run after that is fully warm again.
   {
-    const runner::SweepCache cache(dir, packed_options());
+    const runner::SweepCache cache(dir);
     runner::PipelineOptions popts;
     popts.threads = 1;
     popts.batch = true;
@@ -187,12 +219,14 @@ TEST(Pack, LooseAndPackedWritersInteroperate) {
   const std::string dir = fresh_dir("pack_interop");
   const auto specs = runner::scale_grid(12);
   {
-    // Half loose (default store path), half packed, same directory.
-    const runner::SweepCache loose(dir);
-    const runner::SweepCache packed(dir, packed_options());
+    // Half loose (as an older release left them), half packed.
+    const runner::SweepCache packed(dir);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto& c = i % 2 == 0 ? loose : packed;
-      c.store(specs[i], runner::run_experiment(specs[i]));
+      if (i % 2 == 0) {
+        plant_loose(packed, specs[i]);
+      } else {
+        packed.store(specs[i], runner::run_experiment(specs[i]));
+      }
     }
   }
   // Any reader sees both representations.
@@ -207,13 +241,15 @@ TEST(Pack, CompactMergesSegmentsAndMigratesLooseFiles) {
   const std::string dir = fresh_dir("pack_compact");
   const auto specs = runner::scale_grid(18);
   {
-    const runner::SweepCache loose(dir);
-    const runner::SweepCache packed_a(dir, packed_options());
-    const runner::SweepCache packed_b(dir, packed_options());
+    const runner::SweepCache packed_a(dir);
+    const runner::SweepCache packed_b(dir);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const auto& c =
-          i % 3 == 0 ? loose : (i % 3 == 1 ? packed_a : packed_b);
-      c.store(specs[i], runner::run_experiment(specs[i]));
+      if (i % 3 == 0) {
+        plant_loose(packed_a, specs[i]);
+      } else {
+        (i % 3 == 1 ? packed_a : packed_b)
+            .store(specs[i], runner::run_experiment(specs[i]));
+      }
     }
   }
   // Plus one unreadable loose entry that compaction must drop, not copy.
@@ -258,7 +294,7 @@ TEST(Pack, TwoProcessesAppendPrivateSegmentsSafely) {
   if (pid == 0) {
     // Child: its own cache object, its own segment, first half.
     {
-      const runner::SweepCache cache(dir, packed_options());
+      const runner::SweepCache cache(dir);
       for (std::size_t i = 0; i < half; ++i) {
         cache.store(specs[i], runner::run_experiment(specs[i]));
       }
@@ -266,7 +302,7 @@ TEST(Pack, TwoProcessesAppendPrivateSegmentsSafely) {
     ::_exit(0);
   }
   {
-    const runner::SweepCache cache(dir, packed_options());
+    const runner::SweepCache cache(dir);
     for (std::size_t i = half; i < specs.size(); ++i) {
       cache.store(specs[i], runner::run_experiment(specs[i]));
     }

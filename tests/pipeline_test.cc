@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <filesystem>
 
 #include "runner/registry.h"
 
 namespace asyncrv {
 namespace {
+
+namespace fs = std::filesystem;
 
 std::vector<runner::ExperimentSpec> small_grid() {
   return runner::rendezvous_grid(
@@ -115,21 +117,50 @@ TEST(Pipeline, AllScenariosErroredMeansZeroCostAggregates) {
 }
 
 TEST(Pipeline, StreamedCallbackSeesEveryScenario) {
-  auto specs = runner::rendezvous_grid({"ring:4", "path:3"},
-                                       {"fair", "random50"}, {{5, 12}},
-                                       1'000'000, 1);
-  ASSERT_EQ(specs.size(), 4u);
-  std::set<std::size_t> seen;
-  runner::PipelineOptions opts;
-  opts.threads = 2;
-  opts.on_outcome = [&seen](const runner::ExperimentSpec&,
-                            const runner::ExperimentOutcome& out) {
-    seen.insert(out.index);
-  };
-  const runner::PipelineReport report =
-      runner::ExperimentPipeline(opts).run(std::move(specs));
-  EXPECT_EQ(seen.size(), 4u);
-  EXPECT_EQ(report.totals.scenarios, 4u);
+  // Every scenario is delivered exactly once, in spec order, whatever order
+  // the pool finishes them in — scalar or batched, cold or partly warm
+  // (cache hits wait for the misses before them).
+  const auto specs = runner::rendezvous_grid(
+      {"ring:4", "path:3", "star:5", "ring:3"}, {"fair", "random50"},
+      {{5, 12}, {1, 2}}, 1'000'000, 1);
+  ASSERT_EQ(specs.size(), 16u);
+  std::vector<std::size_t> expected(specs.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+
+  std::vector<runner::ExperimentSpec> odd;
+  for (std::size_t i = 1; i < specs.size(); i += 2) odd.push_back(specs[i]);
+
+  for (const bool cached : {false, true}) {
+    for (const bool batch : {false, true}) {
+      for (const int threads : {1, 2, 4}) {
+        // A fresh cache holding every odd-indexed cell.
+        const fs::path dir =
+            fs::path(testing::TempDir()) / "asyncrv_streamed";
+        fs::remove_all(dir);
+        const runner::SweepCache cache(dir.string());
+        runner::PipelineOptions warmup;
+        warmup.cache = &cache;
+        runner::ExperimentPipeline(warmup).run(odd);
+
+        std::vector<std::size_t> seen;
+        runner::PipelineOptions opts;
+        opts.threads = threads;
+        opts.batch = batch;
+        opts.batch_size = 2;
+        if (cached) opts.cache = &cache;
+        opts.on_outcome = [&seen](const runner::ExperimentSpec&,
+                                  const runner::ExperimentOutcome& out) {
+          seen.push_back(out.index);
+        };
+        const runner::PipelineReport report =
+            runner::ExperimentPipeline(opts).run(specs);
+        EXPECT_EQ(seen, expected) << "threads=" << threads << " batch="
+                                  << batch << " cached=" << cached;
+        EXPECT_EQ(report.totals.scenarios, specs.size());
+        EXPECT_EQ(report.cache_hits, cached ? odd.size() : 0u);
+      }
+    }
+  }
 }
 
 TEST(Pipeline, SweepRowCarriesFingerprintAndStatus) {

@@ -32,18 +32,12 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
-runner::SweepCacheOptions packed_options() {
-  runner::SweepCacheOptions o;
-  o.packed = true;
-  return o;
-}
-
 /// JSONL bytes of one single-process batched run of `specs` against the
 /// cache directory (the merge path of `rv_cli sweep scale`).
 std::string merged_jsonl(const std::vector<runner::ExperimentSpec>& specs,
                          const std::string& cache_dir,
                          std::uint64_t* executed = nullptr) {
-  const runner::SweepCache cache(cache_dir, packed_options());
+  const runner::SweepCache cache(cache_dir);
   std::ostringstream os;
   runner::JsonlSink sink(os);
   runner::PipelineOptions popts;
@@ -93,7 +87,6 @@ TEST(Shard, InProcessWorkerExecutesColdAndServesWarm) {
   const auto plan = runner::plan_shards(specs, 3);
   runner::ShardWorkerOptions wopts;
   wopts.cache_dir = dir;
-  wopts.cache = packed_options();
   wopts.threads = 1;
 
   const auto cold = runner::run_shard(specs, plan[1], wopts);
@@ -121,7 +114,6 @@ TEST(Shard, MultiProcessRunMergesByteIdenticalToSingleProcess) {
     runner::ShardDriverOptions dopts;
     dopts.cache_dir = dir;
     dopts.shards = k;
-    dopts.cache = packed_options();
     const auto run = runner::run_sharded(specs, dopts);
     ASSERT_TRUE(run.ok());
     EXPECT_EQ(run.total(&runner::ShardWorkerStats::cells), specs.size());
@@ -146,7 +138,6 @@ TEST(Shard, KilledWorkerResumesWithoutReexecutingCommittedCells) {
   runner::ShardDriverOptions dopts;
   dopts.cache_dir = dir;
   dopts.shards = 4;
-  dopts.cache = packed_options();
   dopts.kill_worker = 2;
   dopts.kill_after = committed;
 
