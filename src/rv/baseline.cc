@@ -33,11 +33,8 @@ double baseline_route_length_log10(const LengthCalculus& calc,
 
 Generator<Move> baseline_route(Walker& w, const TrajKit& kit,
                                std::uint64_t known_n, std::uint64_t label) {
-  const u128 reps = baseline_reps(kit.lengths(), known_n, label).value();
-  for (u128 r = 0; r < reps; ++r) {
-    auto x = follow_X(w, kit, known_n);
-    while (x.next()) co_yield x.value();
-  }
+  return follow_X_repeated(w, kit, known_n,
+                           baseline_reps(kit.lengths(), known_n, label).value());
 }
 
 }  // namespace asyncrv

@@ -33,16 +33,17 @@ void MultiAgentSim::on_wake(int agent) {
 
 void MultiAgentSim::on_meeting(int mover, const std::vector<int>& others) {
   // Every member of the co-located group, mover included, learns of the
-  // other members present at the point.
-  std::vector<int> all = others;
-  all.push_back(mover);
-  for (int self : all) {
-    std::vector<int> rest;
-    rest.reserve(all.size() - 1);
-    for (int i : all) {
-      if (i != self) rest.push_back(i);
+  // other members present at the point. Both lists reuse member scratch,
+  // so dispatch allocates nothing once they have grown to the largest
+  // group (AgentLogic::on_meeting must not re-enter advance).
+  group_.assign(others.begin(), others.end());
+  group_.push_back(mover);
+  for (int self : group_) {
+    rest_.clear();
+    for (int i : group_) {
+      if (i != self) rest_.push_back(i);
     }
-    logics_[static_cast<std::size_t>(self)]->on_meeting(rest);
+    logics_[static_cast<std::size_t>(self)]->on_meeting(rest_);
   }
 }
 

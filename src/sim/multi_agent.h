@@ -86,6 +86,9 @@ class MultiAgentSim final : private sim::EventSink {
 
   sim::SimEngine engine_;
   std::vector<AgentLogic*> logics_;
+  // Meeting-dispatch scratch: the whole group, and one member's others.
+  std::vector<int> group_;
+  std::vector<int> rest_;
 };
 
 }  // namespace asyncrv

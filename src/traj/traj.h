@@ -92,8 +92,20 @@ Generator<Move> follow_Aprime(Walker& w, const TrajKit& kit, std::uint64_t k);
 /// A(k, v) = A'(k, v) A̅'(k, v)                              (Def. 3.5)
 Generator<Move> follow_A(Walker& w, const TrajKit& kit, std::uint64_t k);
 
+/// Longest closed base walk (in exit ports) that B, K and Ω record once and
+/// replay for their later repetitions; longer bases are regenerated each
+/// time. Bounds the recording at 256 KiB (4-byte Port) per live repeated
+/// route; at the default `tiny` profile the B(2) base Y(2, v) is 3,948
+/// ports (15.8 KB).
+inline constexpr std::uint64_t kReplayCapPorts = std::uint64_t{1} << 16;
+
 /// B(k, v) = Y(k, v)^{2|A(4k)|}                             (Def. 3.6)
 Generator<Move> follow_B(Walker& w, const TrajKit& kit, std::uint64_t k);
+
+/// X(k, v)^reps: the closed walk X(k, v) repeated `reps` times. The shape
+/// of K and Ω, and of the baseline route (rv/baseline.h).
+Generator<Move> follow_X_repeated(Walker& w, const TrajKit& kit,
+                                  std::uint64_t k, u128 reps);
 
 /// K(k, v) = X(k, v)^{2(|B(4k)| + |A(8k)|)}                 (Def. 3.7)
 Generator<Move> follow_K(Walker& w, const TrajKit& kit, std::uint64_t k);

@@ -193,7 +193,9 @@ TEST(Service, EightConcurrentClientsStreamByteIdenticalOverlappingSweeps) {
 
   constexpr int kClients = 8;
   std::vector<std::string> streamed(kClients);
-  std::vector<bool> succeeded(kClients, false);
+  // One byte per client: std::vector<bool> packs the flags into shared
+  // words, so concurrent writes to different clients' flags would race.
+  std::vector<char> succeeded(kClients, 0);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {

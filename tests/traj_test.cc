@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "graph/builders.h"
@@ -196,6 +198,148 @@ TEST(Traj, KAndOmegaRepeatX) {
     for (std::size_t rep = 0; rep < 4; ++rep) {
       for (std::size_t i = 0; i < x.size(); ++i) {
         EXPECT_EQ(prefix[rep * x.size() + i].port_out, x[i].port_out);
+      }
+    }
+  }
+}
+
+/// Reference for B, K and Ω: regenerates the base for every repetition.
+Generator<Move> regenerated(Walker& w, std::uint64_t reps,
+                            std::function<Generator<Move>(Walker&)> base) {
+  for (std::uint64_t r = 0; r < reps; ++r) {
+    auto b = base(w);
+    while (b.next()) co_yield b.value();
+  }
+}
+
+/// What a route left behind: its moves, an outer trail's recording, the
+/// walker's final node and move count.
+struct Walked {
+  std::vector<Move> moves;
+  std::vector<std::uint16_t> outer;
+  Node end = 0;
+  std::uint64_t total = 0;
+};
+
+/// Pulls `count` moves of the route under an outer TrailScope. After the
+/// `touch_at`-th move (if any) the caller itself moves the walker while the
+/// route is suspended, as SGL does when it runs ESST mid-route: it takes
+/// `detour` (port indices, reduced modulo the degree) and, if `closed`,
+/// backtracks them.
+Walked walk(const Graph& g, Node start,
+            const std::function<Generator<Move>(Walker&)>& make,
+            std::size_t count, std::size_t touch_at = 0,
+            const std::vector<Port>& detour = {}, bool closed = false) {
+  Walker w(g, start);
+  Trail outer;
+  Walked out;
+  {
+    TrailScope scope(w, outer);
+    auto route = make(w);
+    while (out.moves.size() < count && route.next()) {
+      out.moves.push_back(route.value());
+      if (out.moves.size() != touch_at) continue;
+      Trail taken;
+      {
+        TrailScope detour_scope(w, taken);
+        for (const Port p : detour) w.take(p % w.degree());
+      }
+      if (!closed) continue;
+      auto back = follow_reverse(w, taken);
+      while (back.next()) {
+      }
+    }
+  }
+  out.outer = outer.entry_ports;
+  out.end = w.node();
+  out.total = w.total_moves();
+  return out;
+}
+
+void expect_same_walk(const Walked& got, const Walked& want) {
+  ASSERT_EQ(got.moves.size(), want.moves.size());
+  for (std::size_t i = 0; i < want.moves.size(); ++i) {
+    ASSERT_EQ(got.moves[i].from, want.moves[i].from) << "move " << i;
+    ASSERT_EQ(got.moves[i].to, want.moves[i].to) << "move " << i;
+    ASSERT_EQ(got.moves[i].port_out, want.moves[i].port_out) << "move " << i;
+    ASSERT_EQ(got.moves[i].port_in, want.moves[i].port_in) << "move " << i;
+  }
+  EXPECT_EQ(got.outer, want.outer);
+  EXPECT_EQ(got.end, want.end);
+  EXPECT_EQ(got.total, want.total);
+}
+
+struct Repeated {
+  const char* name;
+  Generator<Move> (*route)(Walker&, const TrajKit&, std::uint64_t);
+  Generator<Move> (*base)(Walker&, const TrajKit&, std::uint64_t);
+  SatU128 (LengthCalculus::*base_len)(std::uint64_t) const;
+};
+
+const Repeated kRepeated[] = {
+    {"B", follow_B, follow_Y, &LengthCalculus::Y},
+    {"K", follow_K, follow_X, &LengthCalculus::X},
+    {"Omega", follow_Omega, follow_X, &LengthCalculus::X},
+};
+
+TEST(Traj, ReplayedRepetitionsMatchRegenerationUnderOuterTrail) {
+  TrajKit kit(PPoly::tiny(), 0x19);
+  for (const auto& [gname, g] :
+       {NamedGraph{"ring5", make_ring(5)}, NamedGraph{"petersen", make_petersen()}}) {
+    for (const Repeated& t : kRepeated) {
+      const std::uint64_t k = 2;
+      const std::uint64_t period = (kit.lengths().*t.base_len)(k).to_u64_clamped();
+      ASSERT_LE(period, kReplayCapPorts);  // the replaying branch
+      const auto want = walk(g, 1, [&](Walker& w) {
+        return regenerated(w, 4, [&](Walker& on) { return t.base(on, kit, k); });
+      }, 3 * period + period / 2);
+      const auto got = walk(g, 1, [&](Walker& w) { return t.route(w, kit, k); },
+                            3 * period + period / 2);
+      SCOPED_TRACE(std::string(t.name) + " on " + gname);
+      expect_same_walk(got, want);
+      EXPECT_EQ(got.outer.size(), got.moves.size());
+    }
+  }
+}
+
+TEST(Traj, BaseAboveReplayCapIsRegenerated) {
+  TrajKit kit(PPoly::tiny(), 0x1a);
+  const std::uint64_t k = 5;
+  const std::uint64_t period = kit.lengths().Y(k).to_u64_clamped();
+  ASSERT_GT(period, kReplayCapPorts);  // 79,374 ports
+  Graph g = make_grid(2, 3);
+  const auto want = walk(g, 0, [&](Walker& w) {
+    return regenerated(w, 2, [&](Walker& on) { return follow_Y(on, kit, k); });
+  }, 2 * period);
+  const auto got =
+      walk(g, 0, [&](Walker& w) { return follow_B(w, kit, k); }, 2 * period);
+  expect_same_walk(got, want);
+  EXPECT_EQ(got.end, 0u);
+}
+
+TEST(Traj, CallerMovesWhileSuspendedMatchRegeneration) {
+  // Regeneration records the caller's moves in the base's open trails and
+  // later backtracks them; replay must do the same wherever they happen:
+  // in the recorded first period, in a replayed one, at a period boundary,
+  // as a closed detour or one that leaves the walker elsewhere.
+  TrajKit kit(micro(), 0x1b);
+  Graph g = make_grid(2, 3);
+  const std::vector<Port> detour = {1, 0, 2, 1};
+  for (const Repeated& t : kRepeated) {
+    const std::uint64_t k = 2;
+    const std::size_t period = (kit.lengths().*t.base_len)(k).to_u64_clamped();
+    const std::size_t count = 4 * period;
+    const auto make_ref = [&](Walker& w) {
+      return regenerated(w, 8, [&](Walker& on) { return t.base(on, kit, k); });
+    };
+    const auto make = [&](Walker& w) { return t.route(w, kit, k); };
+    for (const bool closed : {true, false}) {
+      for (std::size_t at = 1; at <= 3 * period; ++at) {
+        const auto want = walk(g, 0, make_ref, count, at, detour, closed);
+        const auto got = walk(g, 0, make, count, at, detour, closed);
+        SCOPED_TRACE(std::string(t.name) + (closed ? " closed" : " open") +
+                     " detour after move " + std::to_string(at));
+        expect_same_walk(got, want);
       }
     }
   }
