@@ -64,7 +64,7 @@
 // cross-machine mode: point every machine at one shared cache dir).
 // --kill-worker/--kill-after are fault injection for the resumption
 // acceptance test. `rv_cli cache pack --cache-dir D` compacts the
-// directory's loose entries and pack segments into one sealed segment.
+// directory's pack segments into one sealed segment.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -388,9 +388,7 @@ int run_cache_mode(runner::PipelineCli& cli,
   const runner::SweepCache::CompactStats cs = cli.cache()->compact();
   std::cout << "packed " << cli.cache_dir() << ": " << cs.records
             << " records (" << cs.bytes << " bytes) in one segment, "
-            << cs.loose_migrated << " loose migrated, " << cs.segments_merged
-            << " segments merged, " << cs.invalid_dropped
-            << " invalid dropped\n";
+            << cs.segments_merged << " segments merged\n";
   return 0;
 }
 

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -25,14 +27,17 @@ namespace {
 struct SweepCacheInstruments {
   obs::Counter& lookups = obs::metrics().counter("sweepcache.lookups");
   obs::Counter& hits = obs::metrics().counter("sweepcache.hits");
-  obs::Counter& pack_hits = obs::metrics().counter("sweepcache.pack_hits");
-  obs::Counter& loose_hits = obs::metrics().counter("sweepcache.loose_hits");
   obs::Counter& stores = obs::metrics().counter("sweepcache.stores");
   obs::Counter& store_bytes = obs::metrics().counter("sweepcache.store_bytes");
   obs::Counter& fsyncs = obs::metrics().counter("sweepcache.fsyncs");
   obs::Counter& segments = obs::metrics().counter("sweepcache.segments");
   obs::Counter& pack_records =
       obs::metrics().counter("sweepcache.pack_records");
+  // Registry-only (no Stats field): failed appends and failed fsyncs.
+  obs::Counter& write_failures =
+      obs::metrics().counter("sweepcache.write_failures");
+  obs::Counter& fsync_failures =
+      obs::metrics().counter("sweepcache.fsync_failures");
 };
 
 SweepCacheInstruments& sc_in() {
@@ -287,13 +292,6 @@ bool fsync_dir(const std::string& dir) {
   return ok;
 }
 
-bool is_loose_entry_name(const std::string& name) {
-  if (name.size() != 32 + 8 || name.compare(32, 8, ".outcome") != 0) {
-    return false;
-  }
-  return parse_fp_hex(name.substr(0, 32)).has_value();
-}
-
 }  // namespace
 
 std::string encode_outcome(const ExperimentSpec& spec,
@@ -460,11 +458,6 @@ SweepCache::~SweepCache() {
   }
 }
 
-std::string SweepCache::entry_path(const ExperimentSpec& spec) const {
-  return (std::filesystem::path(dir_) / (spec.fingerprint().hex() + ".outcome"))
-      .string();
-}
-
 void SweepCache::load_segments_locked() const {
   try {
     std::vector<std::string> paths;
@@ -604,53 +597,36 @@ bool SweepCache::load_one_segment_locked(const std::string& path) const {
 std::optional<ExperimentOutcome> SweepCache::lookup(
     const ExperimentSpec& spec) const {
   const Fingerprint fp = spec.fingerprint();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.lookups;
-    sc_in().lookups.add(1);
-    const auto it = index_.find(fp);
-    if (it != index_.end()) {
-      const Loc loc = it->second;
-      const int fd = segments_[loc.segment].fd;
-      std::string bytes(loc.length, '\0');
-      if (fd >= 0 && pread_all(fd, loc.offset, bytes.data(), bytes.size())) {
-        auto out = decode_outcome(spec, bytes, format_version_);
-        if (out) {
-          ++stats_.hits;
-          ++stats_.pack_hits;
-          sc_in().hits.add(1);
-          sc_in().pack_hits.add(1);
-          return out;
-        }
-        // Collision or damaged payload: fall through to the loose file.
-      }
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.lookups;
+  sc_in().lookups.add(1);
+  const auto it = index_.find(fp);
+  if (it == index_.end()) return std::nullopt;
+  const Loc loc = it->second;
+  const int fd = segments_[loc.segment].fd;
+  std::string bytes(loc.length, '\0');
+  if (fd < 0 || !pread_all(fd, loc.offset, bytes.data(), bytes.size())) {
+    return std::nullopt;
   }
-  std::uint64_t unused = 0;
-  auto out = lookup_loose(spec, &unused);
+  // A collision or a damaged payload decodes to nullopt: a miss.
+  auto out = decode_outcome(spec, bytes, format_version_);
   if (out) {
-    std::lock_guard<std::mutex> lock(mu_);
     ++stats_.hits;
-    ++stats_.loose_hits;
     sc_in().hits.add(1);
-    sc_in().loose_hits.add(1);
   }
   return out;
 }
 
-std::optional<ExperimentOutcome> SweepCache::lookup_loose(
-    const ExperimentSpec& spec, std::uint64_t* bytes_read) const {
-  try {
-    std::ifstream in(entry_path(spec), std::ios::binary);
-    if (!in) return std::nullopt;
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    if (!in.good() && !in.eof()) return std::nullopt;
-    const std::string buf = bytes.str();
-    *bytes_read = buf.size();
-    return decode_outcome(spec, buf, format_version_);
-  } catch (const std::exception&) {
-    return std::nullopt;
+void SweepCache::fail_locked(bool fsync) const {
+  const int err = errno;
+  active_broken_ = true;
+  (fsync ? sc_in().fsync_failures : sc_in().write_failures).add(1);
+  if (!warned_) {
+    warned_ = true;
+    std::cerr << "warning: sweep cache " << dir_ << ": "
+              << (fsync ? "fsync" : "write") << " failed ("
+              << std::strerror(err)
+              << "); this cache stores nothing more until it is reopened\n";
   }
 }
 
@@ -669,10 +645,12 @@ bool SweepCache::ensure_active_locked() const {
                           0644);
     if (fd < 0) {
       if (errno == EEXIST) continue;
+      fail_locked(/*fsync=*/false);
       return false;
     }
     const std::string header_line = std::string(kPackHeader) + "\n";
     if (!write_all(fd, header_line.data(), header_line.size())) {
+      fail_locked(/*fsync=*/false);
       ::close(fd);
       std::error_code ec;
       std::filesystem::remove(path, ec);
@@ -685,6 +663,7 @@ bool SweepCache::ensure_active_locked() const {
     sc_in().segments.add(1);
     return true;
   }
+  fail_locked(/*fsync=*/false);  // errno is EEXIST from the last attempt
   return false;
 }
 
@@ -703,7 +682,7 @@ void SweepCache::store(const ExperimentSpec& spec,
       // A half-written tail is unrecoverable through this fd's bookkeeping;
       // stop appending (readers degrade the tear to misses) but keep
       // serving.
-      active_broken_ = true;
+      fail_locked(/*fsync=*/false);
       return;
     }
     const Loc loc{static_cast<std::uint32_t>(active_segment_),
@@ -736,11 +715,15 @@ void SweepCache::flush() const {
 void SweepCache::flush_locked() const {
   if (pending_records_ > 0 && active_segment_ >= 0 && !active_broken_) {
     const int fd = segments_[static_cast<std::size_t>(active_segment_)].fd;
-    if (::fsync(fd) == 0) {
-      ++stats_.fsyncs;
-      sc_in().fsyncs.add(1);
-      pending_records_ = 0;
+    if (::fsync(fd) != 0) {
+      // Final: on Linux a failed fsync may already have dropped the dirty
+      // pages, so a retry could report success for lost records.
+      fail_locked(/*fsync=*/true);
+      return;
     }
+    ++stats_.fsyncs;
+    sc_in().fsyncs.add(1);
+    pending_records_ = 0;
   }
 }
 
@@ -761,7 +744,11 @@ void SweepCache::seal_active_locked() const {
   }
   os << "footer " << active_offset_ << '\n';
   const std::string footer = os.str();
-  if (write_all(fd, footer.data(), footer.size()) && ::fsync(fd) == 0) {
+  if (!write_all(fd, footer.data(), footer.size())) {
+    fail_locked(/*fsync=*/false);
+  } else if (::fsync(fd) != 0) {
+    fail_locked(/*fsync=*/true);
+  } else {
     ++stats_.fsyncs;
     sc_in().fsyncs.add(1);
   }
@@ -783,75 +770,17 @@ SweepCache::CompactStats SweepCache::compact() const {
   try {
     seal_active_locked();
 
-    // One record per fingerprint: pack index first, then valid loose
-    // entries override (both copies encode the same spec's outcome).
-    struct Pending {
-      std::string bytes;
-      bool from_loose = false;
-      std::string loose_path;
-    };
-    std::vector<std::pair<Fingerprint, Pending>> merged;
-    std::unordered_map<Fingerprint, std::size_t, FpHash> pos;
+    if (segments_.empty()) return cs;
+    std::vector<std::pair<Fingerprint, std::string>> merged;
+    merged.reserve(index_.size());
     for (const auto& [fp, loc] : index_) {
       std::string bytes(loc.length, '\0');
       const int fd = segments_[loc.segment].fd;
       if (fd < 0 || !pread_all(fd, loc.offset, bytes.data(), bytes.size())) {
         continue;
       }
-      pos[fp] = merged.size();
-      merged.emplace_back(fp, Pending{std::move(bytes), false, {}});
+      merged.emplace_back(fp, std::move(bytes));
     }
-    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (!is_loose_entry_name(name)) continue;
-      // Validate by round-tripping through the strict parsers: the embedded
-      // canonical spec must parse, refingerprint to the file's own name, and
-      // the whole entry must decode against that spec.
-      std::string bytes;
-      {
-        std::ifstream in(entry.path(), std::ios::binary);
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        if (!in.good() && !in.eof()) {
-          ++cs.invalid_dropped;
-          continue;
-        }
-        bytes = buf.str();
-      }
-      const auto spec = [&]() -> std::optional<ExperimentSpec> {
-        Reader in(bytes);
-        const auto header = in.line();
-        if (!header || *header != version_header(format_version_)) {
-          return std::nullopt;
-        }
-        const auto spec_bytes = in.u64("spec-bytes");
-        if (!spec_bytes || *spec_bytes > bytes.size()) return std::nullopt;
-        const auto canonical_start = bytes.find('\n');
-        const auto canonical_mid = bytes.find('\n', canonical_start + 1);
-        if (canonical_mid == std::string::npos ||
-            canonical_mid + 1 + *spec_bytes > bytes.size()) {
-          return std::nullopt;
-        }
-        return spec_from_canonical(bytes.substr(canonical_mid + 1, *spec_bytes));
-      }();
-      if (!spec || spec->fingerprint().hex() != name.substr(0, 32) ||
-          !decode_outcome(*spec, bytes, format_version_)) {
-        ++cs.invalid_dropped;
-        continue;
-      }
-      const Fingerprint fp = spec->fingerprint();
-      const Pending p{std::move(bytes), true, entry.path().string()};
-      const auto it = pos.find(fp);
-      if (it != pos.end()) {
-        merged[it->second].second = p;
-      } else {
-        pos[fp] = merged.size();
-        merged.emplace_back(fp, p);
-      }
-      ++cs.loose_migrated;
-    }
-    if (merged.empty() && segments_.empty()) return cs;
 
     // Deterministic output order: fingerprint-sorted.
     std::sort(merged.begin(), merged.end(),
@@ -877,14 +806,14 @@ SweepCache::CompactStats SweepCache::compact() const {
     os << kPackHeader << '\n';
     std::vector<std::pair<Fingerprint, Loc>> locs;
     locs.reserve(merged.size());
-    for (const auto& [fp, p] : merged) {
-      os << "rec " << fp.hex() << ' ' << p.bytes.size() << '\n';
+    for (const auto& [fp, bytes] : merged) {
+      os << "rec " << fp.hex() << ' ' << bytes.size() << '\n';
       const auto frame_end = static_cast<std::uint64_t>(os.tellp());
-      os << p.bytes;
+      os << bytes;
       locs.emplace_back(
-          fp, Loc{0, frame_end, static_cast<std::uint32_t>(p.bytes.size())});
+          fp, Loc{0, frame_end, static_cast<std::uint32_t>(bytes.size())});
       ++cs.records;
-      cs.bytes += p.bytes.size();
+      cs.bytes += bytes.size();
     }
     const auto idx_offset = static_cast<std::uint64_t>(os.tellp());
     os << "idx " << locs.size() << '\n';
@@ -914,11 +843,6 @@ SweepCache::CompactStats SweepCache::compact() const {
       std::error_code ec;
       std::filesystem::remove(seg.path, ec);
       ++cs.segments_merged;
-    }
-    for (const auto& [fp, p] : merged) {
-      if (!p.from_loose) continue;
-      std::error_code ec;
-      std::filesystem::remove(p.loose_path, ec);
     }
     if (fsync_dir(dir_)) {
       ++stats_.fsyncs;

@@ -18,10 +18,9 @@
 // before the first damaged byte — corruption degrades to misses for the
 // torn tail only.
 //
-// LOOSE entries — one `<fingerprint>.outcome` file per cell, what older
-// releases wrote — are still read: lookup() falls back to the loose file
-// on a pack miss, and `rv_cli cache pack` (compact()) migrates a loose
-// directory into one sealed segment. Nothing writes them any more.
+// Pack segments are the only representation read. A `*.outcome` file —
+// the one-file-per-cell layout of older releases — is ignored: its cell is
+// a miss, re-executes once and lands in a pack.
 //
 // Visibility: open() loads the fingerprint→offset map of every segment
 // present at that moment, and the object's own appends join the map as
@@ -34,14 +33,19 @@
 //    (the cell simply runs again and the entry is re-appended);
 //  * the stored canonical spec is compared against the probe on every hit,
 //    so a fingerprint collision (or a foreign file) degrades to a miss;
-//  * store() failures (read-only dir, disk full) are swallowed;
+//  * store() failures (read-only dir, disk full, a failed fsync) never
+//    reach the caller, but they are loud: each failed append or fsync
+//    bumps `sweepcache.write_failures` / `sweepcache.fsync_failures`, the
+//    first one per cache object prints a `warning:` line on stderr, and
+//    the active segment takes no further appends (an fsync is never
+//    retried — after a failed one the kernel may have dropped the data
+//    while a retry reports success);
 //  * a record is COMMITTED once flush() has fsynced it — kill -9 loses at
 //    most the unflushed tail, and those cells simply re-execute.
 //
 // Entries are versioned (`asyncrv.cache.v<N>`): bumping kFormatVersion —
 // required whenever the outcome serialization or simulator semantics
-// change — invalidates every existing entry wholesale (pack records frame
-// the same entry bytes as loose files, so one version check serves both).
+// change — invalidates every existing entry wholesale.
 #pragma once
 
 #include <cstdint>
@@ -105,7 +109,7 @@ class SweepCache {
   SweepCache& operator=(const SweepCache&) = delete;
 
   /// The cached outcome of this spec, or nullopt on any kind of miss.
-  /// Thread-safe; consults pack segments first, then the loose file.
+  /// Thread-safe.
   std::optional<ExperimentOutcome> lookup(const ExperimentSpec& spec) const;
 
   /// Appends the outcome to this cache's pack segment under the spec's
@@ -121,16 +125,10 @@ class SweepCache {
 
   const std::string& dir() const { return dir_; }
 
-  /// Path of the LOOSE entry for this spec — the lookup fallback for
-  /// directories written by older releases (store() never writes it).
-  std::string entry_path(const ExperimentSpec& spec) const;
-
   /// Observability counters (cumulative since construction).
   struct Stats {
     std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;        ///< pack_hits + loose_hits
-    std::uint64_t pack_hits = 0;
-    std::uint64_t loose_hits = 0;
+    std::uint64_t hits = 0;
     std::uint64_t stores = 0;
     std::uint64_t store_bytes = 0; ///< payload bytes written by store()
     std::uint64_t fsyncs = 0;      ///< every fsync this cache issued
@@ -140,18 +138,15 @@ class SweepCache {
   Stats stats() const;
 
   /// Offline compaction (`rv_cli cache pack`): rewrites every readable
-  /// record — all pack segments plus every valid loose entry, loose
-  /// winning on duplicate fingerprints — into ONE fresh sealed segment,
-  /// then deletes the migrated loose files and superseded segments. Safe
+  /// record of every pack segment into ONE fresh sealed segment, then
+  /// deletes the superseded segments (any other file is left alone). Safe
   /// against crashes (the new segment is fsynced before anything is
   /// deleted); NOT safe against concurrent writers of the same directory
-  /// — compact quiesced caches only. Returns what was migrated.
+  /// — compact quiesced caches only. Returns what was merged.
   struct CompactStats {
     std::uint64_t records = 0;        ///< records in the new segment
     std::uint64_t bytes = 0;          ///< payload bytes in the new segment
-    std::uint64_t loose_migrated = 0; ///< loose files folded in + deleted
     std::uint64_t segments_merged = 0;///< old segments folded in + deleted
-    std::uint64_t invalid_dropped = 0;///< unreadable loose entries skipped
   };
   CompactStats compact() const;
 
@@ -176,8 +171,7 @@ class SweepCache {
   bool ensure_active_locked() const;
   void seal_active_locked() const;
   void flush_locked() const;
-  std::optional<ExperimentOutcome> lookup_loose(const ExperimentSpec& spec,
-                                                std::uint64_t* bytes) const;
+  void fail_locked(bool fsync) const;
 
   std::string dir_;
   std::uint32_t format_version_;
@@ -190,7 +184,8 @@ class SweepCache {
   mutable std::uint64_t active_offset_ = 0;
   mutable std::vector<std::pair<Fingerprint, Loc>> active_records_;
   mutable std::uint64_t pending_records_ = 0;  ///< appended since last fsync
-  mutable bool active_broken_ = false;  ///< append failed; stop packing
+  mutable bool active_broken_ = false;  ///< append/fsync failed; stop packing
+  mutable bool warned_ = false;  ///< the one stderr warning was printed
   mutable Stats stats_;
 };
 

@@ -58,10 +58,30 @@ void write_file(const std::string& path, const std::string& bytes) {
 }
 
 /// The encoded entry of a live run of `spec` — the bytes a pack record
-/// frames and a loose `<fingerprint>.outcome` file holds.
+/// frames.
 std::string entry_bytes(const runner::ExperimentSpec& spec) {
   return runner::encode_outcome(spec, runner::run_experiment(spec),
                                 runner::SweepCache::kFormatVersion);
+}
+
+bool decodes(const runner::ExperimentSpec& spec, const std::string& bytes) {
+  return runner::decode_outcome(spec, bytes,
+                                runner::SweepCache::kFormatVersion)
+      .has_value();
+}
+
+/// Writes `dir` as one unsealed pack segment whose single record frames
+/// `payload` under `spec`'s fingerprint — a tampered or torn record as a
+/// reader meets it — and reports whether a freshly opened cache hits it.
+bool planted_record_hits(const std::string& dir,
+                         const runner::ExperimentSpec& spec,
+                         const std::string& payload) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  write_file(dir + "/seg-planted.cachepack",
+             "asyncrv.cachepack.v1\nrec " + spec.fingerprint().hex() + " " +
+                 std::to_string(payload.size()) + "\n" + payload);
+  return runner::SweepCache(dir).lookup(spec).has_value();
 }
 
 TEST(CacheCodec, RendezvousOutcomeRoundTripsExactly) {
@@ -180,49 +200,43 @@ TEST(Cache, StoreThenLookupHits) {
 }
 
 TEST(Cache, TruncatedEntryIsAMissNotAnError) {
-  // Loose entries (what older releases wrote) are still served; plant one.
   const std::string dir = fresh_dir("trunc");
-  const runner::SweepCache cache(dir);
   const runner::ExperimentSpec spec = rv_spec(42, /*record_schedule=*/true);
-  const std::string path = cache.entry_path(spec);
   const std::string bytes = entry_bytes(spec);
-  write_file(path, bytes);
-  ASSERT_TRUE(cache.lookup(spec).has_value());
-  // Every proper prefix must be a clean miss (the "end" trailer guards).
+  ASSERT_TRUE(decodes(spec, bytes));
+  ASSERT_TRUE(planted_record_hits(dir, spec, bytes));
+  // Every proper prefix must be a clean miss (the "end" trailer guards),
+  // both to the decoder and as a pack record's payload.
   for (const std::size_t keep :
        {bytes.size() - 1, bytes.size() / 2, std::size_t{17}, std::size_t{0}}) {
-    write_file(path, bytes.substr(0, keep));
-    EXPECT_FALSE(cache.lookup(spec).has_value()) << "prefix " << keep;
+    EXPECT_FALSE(decodes(spec, bytes.substr(0, keep))) << "prefix " << keep;
+    EXPECT_FALSE(planted_record_hits(dir, spec, bytes.substr(0, keep)))
+        << "prefix " << keep;
   }
-  write_file(path, bytes);
-  EXPECT_TRUE(cache.lookup(spec).has_value());
+  EXPECT_TRUE(planted_record_hits(dir, spec, bytes));
 }
 
 TEST(Cache, CorruptedEntryIsAMissNotAnError) {
   const std::string dir = fresh_dir("corrupt");
-  const runner::SweepCache cache(dir);
   const runner::ExperimentSpec spec = rv_spec();
-  const std::string path = cache.entry_path(spec);
   const std::string good = entry_bytes(spec);
-  write_file(path, good);
-  ASSERT_TRUE(cache.lookup(spec).has_value());
+  ASSERT_TRUE(planted_record_hits(dir, spec, good));
 
   // Flipped cost digits -> still parses numerically; the decoder accepts
   // it (contents are trusted once the spec matches) — so corrupt the
   // structure instead: garbage bytes, a wrong header, a foreign spec.
-  write_file(path, "garbage\n");
-  EXPECT_FALSE(cache.lookup(spec).has_value());
-  write_file(path, "asyncrv.cache.v1\nnot-a-field\n");
-  EXPECT_FALSE(cache.lookup(spec).has_value());
   std::string wrong_spec = good;
   const std::size_t at = wrong_spec.find("adversary=oscillating");
   ASSERT_NE(at, std::string::npos);
   wrong_spec.replace(at, 21, "adversary=fair\n\n\n\n\n\n");
-  write_file(path, wrong_spec);
-  EXPECT_FALSE(cache.lookup(spec).has_value());
+  for (const std::string& bad :
+       {std::string("garbage\n"),
+        std::string("asyncrv.cache.v1\nnot-a-field\n"), wrong_spec}) {
+    EXPECT_FALSE(decodes(spec, bad)) << bad;
+    EXPECT_FALSE(planted_record_hits(dir, spec, bad)) << bad;
+  }
 
-  write_file(path, good);
-  EXPECT_TRUE(cache.lookup(spec).has_value());
+  EXPECT_TRUE(planted_record_hits(dir, spec, good));
 }
 
 TEST(Cache, VersionBumpInvalidatesEverything) {
@@ -325,26 +339,16 @@ TEST(Cache, EnvironmentalFailuresDoNotPoisonTheCache) {
 }
 
 TEST(Cache, TruncatedAtCommitEntryDegradesToMissAndHeals) {
-  // The crash-durability contract: whatever prefix of an entry survives a
-  // power cut — including zero bytes — is a miss, never a hit or an error.
-  // That holds for a loose entry cut short and for a pack record whose
-  // tail never reached the disk; the pack miss is repairable: a pipeline
-  // run re-executes the cell, re-appends it, and the next lookup hits.
+  // The crash-durability contract: whatever prefix of a pack record's
+  // payload survives a power cut — including zero bytes — is a miss, never
+  // a hit or an error, and the miss is repairable: a pipeline run
+  // re-executes the cell, re-appends it, and the next lookup hits.
   const std::string dir = fresh_dir("truncated");
   const runner::SweepCache cache(dir);
   const runner::ExperimentSpec spec = rv_spec();
   const std::string bytes = entry_bytes(spec);
   const std::vector<std::size_t> keeps = {0, bytes.size() / 2,
                                           bytes.size() - 1};
-
-  const std::string loose = cache.entry_path(spec);
-  for (const std::size_t keep : keeps) {
-    write_file(loose, bytes.substr(0, keep));
-    EXPECT_FALSE(cache.lookup(spec).has_value())
-        << "a " << keep << "/" << bytes.size()
-        << "-byte loose torso must be a miss, not a hit or an error";
-  }
-  fs::remove(loose);
 
   runner::PipelineOptions opts;
   opts.cache = &cache;

@@ -1,8 +1,9 @@
 // The packed sweep-cache store (asyncrv.cachepack.v1, DESIGN.md §10):
 // append/seal/reopen round-trips, the footer fast path vs the scan
 // fallback, torn-tail recovery (corruption degrades to misses only past
-// the last valid record), loose/packed interop, offline compaction, and
-// multi-process append discipline.
+// the last valid record), stray pre-pack `*.outcome` files, offline
+// compaction, multi-process append discipline, and store failures.
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,9 +17,11 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runner/cache.h"
 #include "runner/pipeline.h"
 #include "runner/registry.h"
+#include "runner/sink.h"
 
 namespace asyncrv {
 namespace {
@@ -43,13 +46,10 @@ void write_file(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-/// Plants the loose `<fingerprint>.outcome` entry of `spec` — the
-/// representation older releases wrote, still read and migrated.
-void plant_loose(const runner::SweepCache& cache,
-                 const runner::ExperimentSpec& spec) {
-  write_file(cache.entry_path(spec),
-             runner::encode_outcome(spec, runner::run_experiment(spec),
-                                    runner::SweepCache::kFormatVersion));
+/// The encoded entry of a live run of `spec`.
+std::string entry_bytes(const runner::ExperimentSpec& spec) {
+  return runner::encode_outcome(spec, runner::run_experiment(spec),
+                                runner::SweepCache::kFormatVersion);
 }
 
 /// The `*.cachepack` files currently in `dir`, sorted.
@@ -111,7 +111,7 @@ TEST(Pack, StoreSealReopenServesEveryRecord) {
     EXPECT_EQ(hit->status, live.status);
     EXPECT_EQ(hit->cost, live.cost);
   }
-  EXPECT_EQ(cache.stats().pack_hits, specs.size());
+  EXPECT_EQ(cache.stats().hits, specs.size());
 }
 
 TEST(Pack, WarmPipelineRunExecutesNothing) {
@@ -215,62 +215,63 @@ TEST(Pack, TruncationMidRecordKeepsThePrefixAndHeals) {
   EXPECT_EQ(count_hits(dir, specs), specs.size());
 }
 
-TEST(Pack, LooseAndPackedWritersInteroperate) {
-  const std::string dir = fresh_dir("pack_interop");
-  const auto specs = runner::scale_grid(12);
-  {
-    // Half loose (as an older release left them), half packed.
-    const runner::SweepCache packed(dir);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (i % 2 == 0) {
-        plant_loose(packed, specs[i]);
-      } else {
-        packed.store(specs[i], runner::run_experiment(specs[i]));
-      }
-    }
-  }
-  // Any reader sees both representations.
+TEST(Pack, StrayLooseFileIsIgnored) {
+  // A valid `<fingerprint>.outcome` file — the one-file-per-cell layout
+  // of older releases — is not read: its cell is a miss, re-executes once
+  // and lands in a pack, and compaction leaves the file where it is.
+  const std::string dir = fresh_dir("pack_stray");
+  fs::create_directories(dir);
+  const runner::ExperimentSpec spec = runner::scale_grid(4)[0];
+  const std::string stray = dir + "/" + spec.fingerprint().hex() + ".outcome";
+  const std::string bytes = entry_bytes(spec);
+  write_file(stray, bytes);
+
   const runner::SweepCache cache(dir);
-  for (const auto& spec : specs) EXPECT_TRUE(cache.lookup(spec).has_value());
-  const auto cs = cache.stats();
-  EXPECT_EQ(cs.pack_hits, specs.size() / 2);
-  EXPECT_EQ(cs.loose_hits, specs.size() / 2);
+  EXPECT_FALSE(cache.lookup(spec).has_value());
+  runner::PipelineOptions popts;
+  popts.threads = 1;
+  popts.cache = &cache;
+  const auto report = runner::ExperimentPipeline(popts).run({spec});
+  EXPECT_EQ(report.cache_hits, 0u);
+  EXPECT_EQ(report.executed, 1u);
+  EXPECT_TRUE(cache.lookup(spec).has_value());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().pack_records, 1u);
+
+  EXPECT_EQ(cache.compact().records, 1u);
+  EXPECT_EQ(read_file(stray), bytes);
+  EXPECT_EQ(count_hits(dir, {spec}), 1u);
 }
 
-TEST(Pack, CompactMergesSegmentsAndMigratesLooseFiles) {
+TEST(Pack, CompactMergesSegments) {
   const std::string dir = fresh_dir("pack_compact");
   const auto specs = runner::scale_grid(18);
   {
+    // Two segments; every third cell is in both (one record survives).
     const runner::SweepCache packed_a(dir);
     const runner::SweepCache packed_b(dir);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (i % 3 == 0) {
-        plant_loose(packed_a, specs[i]);
-      } else {
-        (i % 3 == 1 ? packed_a : packed_b)
-            .store(specs[i], runner::run_experiment(specs[i]));
-      }
+      const auto out = runner::run_experiment(specs[i]);
+      if (i % 3 != 2) packed_a.store(specs[i], out);
+      if (i % 3 != 1) packed_b.store(specs[i], out);
     }
   }
-  // Plus one unreadable loose entry that compaction must drop, not copy.
+  // Plus a file that is not a segment, which compaction must leave alone.
   write_file(dir + "/0123456789abcdef0123456789abcdef.outcome", "garbage");
 
   const runner::SweepCache cache(dir);
   const auto cs = cache.compact();
   EXPECT_EQ(cs.records, specs.size());
-  EXPECT_EQ(cs.loose_migrated, specs.size() / 3);
   EXPECT_EQ(cs.segments_merged, 2u);
-  EXPECT_EQ(cs.invalid_dropped, 1u);
 
-  // One sealed segment remains; the migrated loose files are gone; every
+  // One sealed segment remains next to the untouched foreign file; every
   // record still serves — through the same (post-compact) cache object and
   // through a fresh open.
-  EXPECT_EQ(segment_paths(dir).size(), 1u);
-  std::size_t loose_left = 0;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    loose_left += e.path().extension() == ".outcome";
-  }
-  EXPECT_EQ(loose_left, 1u);  // only the invalid entry is left behind
+  const auto segs = segment_paths(dir);
+  ASSERT_EQ(segs.size(), 1u);
+  EXPECT_NE(read_file(segs[0]).rfind("footer "), std::string::npos);
+  EXPECT_EQ(read_file(dir + "/0123456789abcdef0123456789abcdef.outcome"),
+            "garbage");
   for (const auto& spec : specs) EXPECT_TRUE(cache.lookup(spec).has_value());
   EXPECT_EQ(count_hits(dir, specs), specs.size());
 }
@@ -314,6 +315,75 @@ TEST(Pack, TwoProcessesAppendPrivateSegmentsSafely) {
   // Two private segments, no interleaving, every record readable.
   EXPECT_EQ(segment_paths(dir).size(), 2u);
   EXPECT_EQ(count_hits(dir, specs), specs.size());
+}
+
+TEST(Pack, FailedAppendIsCountedAndOutputsStayIdentical) {
+  // A store that hits the file-size limit mid-record is a counted failure,
+  // never an error: the run's rows are unchanged, the records written
+  // before the failure serve on the next open, and only the lost cells
+  // re-execute.
+  const std::string dir = fresh_dir("pack_fsize");
+  const auto specs = runner::scale_grid(24);
+  const auto jsonl_of = [&](const runner::SweepCache* cache) {
+    std::ostringstream bytes;
+    runner::JsonlSink sink(bytes);
+    runner::PipelineOptions popts;
+    popts.threads = 1;
+    popts.cache = cache;
+    popts.sinks = {&sink};
+    runner::ExperimentPipeline(popts).run(specs);
+    return bytes.str();
+  };
+  const std::string reference = jsonl_of(nullptr);
+
+  // Cells commit in spec order: allow the header, `kept` whole records and
+  // half of the next one.
+  const std::size_t kept = 3;
+  std::size_t limit = std::string("asyncrv.cachepack.v1\n").size();
+  for (std::size_t i = 0; i <= kept; ++i) {
+    const std::string payload = entry_bytes(specs[i]);
+    const std::size_t record =
+        ("rec " + specs[i].fingerprint().hex() + " " +
+         std::to_string(payload.size()) + "\n" + payload)
+            .size();
+    limit += i < kept ? record : record / 2;
+  }
+
+  const ::pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child only: the signal disposition and the limit die with it.
+    std::signal(SIGXFSZ, SIG_IGN);
+    ::rlimit rl{};
+    if (::getrlimit(RLIMIT_FSIZE, &rl) != 0) ::_exit(10);
+    rl.rlim_cur = static_cast<::rlim_t>(limit);
+    if (::setrlimit(RLIMIT_FSIZE, &rl) != 0) ::_exit(11);
+    const obs::Counter& failures =
+        obs::metrics().counter("sweepcache.write_failures");
+    const std::uint64_t before = failures.value();
+    std::string jsonl;
+    {
+      const runner::SweepCache cache(dir);
+      jsonl = jsonl_of(&cache);
+    }
+    if (jsonl != reference) ::_exit(1);
+    if (failures.value() - before != 1) ::_exit(2);
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died, status " << status;
+  ASSERT_EQ(WEXITSTATUS(status), 0)
+      << "1 = JSONL differs from a cache-less run, 2 = write_failures != 1";
+
+  EXPECT_EQ(count_hits(dir, specs), kept);
+  const runner::SweepCache cache(dir);
+  runner::PipelineOptions popts;
+  popts.threads = 1;
+  popts.cache = &cache;
+  const auto report = runner::ExperimentPipeline(popts).run(specs);
+  EXPECT_EQ(report.cache_hits, kept);
+  EXPECT_EQ(report.executed, specs.size() - kept);
 }
 
 }  // namespace
