@@ -77,12 +77,12 @@
 
 #include "graph/io.h"
 #include "runner/cli.h"
-#include "runner/encoding.h"
 #include "runner/registry.h"
 #include "runner/shard.h"
 #include "search/objective.h"
 #include "service/client.h"
 #include "service/server.h"
+#include "util/text.h"
 
 namespace {
 
@@ -223,7 +223,7 @@ int run_search_mode(runner::PipelineCli& cli,
 /// Strict non-negative integer or die with a usage hint.
 std::uint64_t parse_count_or_die(const std::string& what,
                                  const std::string& v) {
-  const auto parsed = runner::LineReader::parse_u64(v);
+  const auto parsed = parse_u64(v);
   if (!parsed) {
     std::cerr << "error: bad " << what << " value: " << v << "\n";
     std::exit(1);
@@ -333,7 +333,7 @@ int run_sweep_scale_mode(runner::PipelineCli& cli,
                 << " store_bytes=" << w.stats.store_bytes << "\n";
     }
   }
-  // Fleet totals: every worker's registry snapshot rode the stats pipe and
+  // Fleet totals: every worker's registry snapshot rode its pipe and
   // merged into one cross-process view — print the headline counters.
   if (!run.fleet_metrics.empty()) {
     const auto c = [&](const char* name) -> std::uint64_t {
@@ -345,6 +345,7 @@ int run_sweep_scale_mode(runner::PipelineCli& cli,
               << " executed=" << c("pipeline.executed")
               << " batched_lanes=" << c("pipeline.batched_lanes")
               << " engine_sweeps=" << c("engine.sweeps") + c("batch.sweeps")
+              << " fsyncs=" << c("sweepcache.fsyncs")
               << " store_bytes=" << c("sweepcache.store_bytes") << "\n";
   }
   if (!run.ok()) {
@@ -414,7 +415,7 @@ std::optional<std::uint64_t> parse_byte_size(std::string s) {
     if (c == 'g' || c == 'G') scale = 1ull << 30;
     if (scale != 1) s.pop_back();
   }
-  const auto v = runner::LineReader::parse_u64(s);
+  const auto v = parse_u64(s);
   if (!v) return std::nullopt;
   return *v * scale;
 }

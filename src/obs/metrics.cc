@@ -1,74 +1,18 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
-#include <limits>
 #include <sstream>
-#include <vector>
+
+#include "util/text.h"
 
 namespace asyncrv::obs {
 
 namespace {
-
-/// Splits on single spaces (no trimming), like runner::split — duplicated
-/// here so obs stays below every other library in the link graph.
-std::vector<std::string> split_sp(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t sp = s.find(' ', start);
-    if (sp == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, sp - start));
-    start = sp + 1;
-  }
-}
-
-std::optional<std::uint64_t> parse_u64(const std::string& s) {
-  if (s.empty() || s.size() > 20) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - d) / 10) {
-      return std::nullopt;
-    }
-    v = v * 10 + d;
-  }
-  return v;
-}
 
 /// "key=<u64>" with exactly this key; nullopt otherwise.
 std::optional<std::uint64_t> keyed_u64(const std::string& tok,
                                        const std::string& key) {
   if (tok.rfind(key + "=", 0) != 0) return std::nullopt;
   return parse_u64(tok.substr(key.size() + 1));
-}
-
-/// JSON string escaping for metric names (internal names are plain ASCII
-/// identifiers, but the serializer must never emit malformed JSON).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -105,7 +49,7 @@ std::optional<Snapshot> Snapshot::from_text(const std::string& text) {
       ended = true;
       continue;
     }
-    const auto toks = split_sp(line);
+    const auto toks = split(line, ' ');
     if (toks.size() < 3 || toks[1].empty()) return std::nullopt;
     if (toks[0] == "counter" || toks[0] == "gauge") {
       if (toks.size() != 3) return std::nullopt;

@@ -18,7 +18,7 @@
 // sense: each value read is some value the instrument actually held during
 // the call (relaxed loads of independent atomics — never a torn word).
 // Snapshots serialize to a versioned `asyncrv.metrics.v1` key=value text
-// form (the METRICS wire response and the shard stats pipe) and to JSON;
+// form (the METRICS wire response and each shard worker's pipe) and to JSON;
 // from_text() + merge() turn per-process snapshots into fleet totals.
 //
 // Byte-identity guarantee: nothing in this module feeds spec fingerprints,

@@ -20,10 +20,8 @@ namespace asyncrv::runner {
 
 namespace {
 
-/// Process-wide mirror of the per-instance Stats (DESIGN.md §11), bumped
-/// at the exact sites that bump stats_ so the two views count the same
-/// events. Per-instance Stats stay authoritative for stats(); the registry
-/// sums across every SweepCache in the process.
+/// The sweep cache's only tally (DESIGN.md §11): process-wide counters,
+/// summed across every SweepCache in the process, bumped once per event.
 struct SweepCacheInstruments {
   obs::Counter& lookups = obs::metrics().counter("sweepcache.lookups");
   obs::Counter& hits = obs::metrics().counter("sweepcache.hits");
@@ -33,7 +31,6 @@ struct SweepCacheInstruments {
   obs::Counter& segments = obs::metrics().counter("sweepcache.segments");
   obs::Counter& pack_records =
       obs::metrics().counter("sweepcache.pack_records");
-  // Registry-only (no Stats field): failed appends and failed fsyncs.
   obs::Counter& write_failures =
       obs::metrics().counter("sweepcache.write_failures");
   obs::Counter& fsync_failures =
@@ -74,12 +71,12 @@ using Reader = LineReader;
 std::optional<Pos> decode_pos(const std::string& v) {
   const auto parts = split(v, ':');
   if (parts.size() >= 2 && parts[0] == "node") {
-    const auto node = Reader::parse_u64(parts[1]);
+    const auto node = parse_u64(parts[1]);
     if (parts.size() != 2 || !node || *node > 0xffffffffULL) return std::nullopt;
     return Pos::at_node(static_cast<Node>(*node));
   }
   if (parts.size() == 3 && parts[0] == "edge") {
-    const auto eid = Reader::parse_u64(parts[1]);
+    const auto eid = parse_u64(parts[1]);
     const auto off = Reader::parse_i64(parts[2]);
     if (!eid || *eid > 0xffffffffULL || !off || *off <= 0 ||
         *off >= kEdgeUnits) {
@@ -158,7 +155,7 @@ std::optional<SglOutcome> decode_sgl(const ExperimentSpec& spec, Reader& in) {
       for (const std::string& entry : split(*bag_line, ',')) {
         const auto parts = split(entry, ':');
         if (parts.size() != 2) return std::nullopt;
-        const auto label = Reader::parse_u64(parts[0]);
+        const auto label = parse_u64(parts[0]);
         const auto value = percent_unescape(parts[1]);
         if (!label || !value) return std::nullopt;
         bag[*label] = *value;
@@ -250,7 +247,7 @@ std::optional<std::pair<Fingerprint, std::uint64_t>> parse_rec_line(
   const auto parts = split(line, ' ');
   if (parts.size() != 3 || parts[0] != "rec") return std::nullopt;
   const auto fp = parse_fp_hex(parts[1]);
-  const auto len = Reader::parse_u64(parts[2]);
+  const auto len = parse_u64(parts[2]);
   if (!fp || !len || *len == 0 || *len > kMaxRecordLen) return std::nullopt;
   return std::make_pair(*fp, *len);
 }
@@ -516,7 +513,7 @@ bool SweepCache::load_one_segment_locked(const std::string& path) const {
                   : tail.substr(prev_nl + 1, tail.size() - prev_nl - 2);
     const auto parts = split(last_line, ' ');
     if (parts.size() != 2 || parts[0] != "footer") break;
-    const auto idx_offset = Reader::parse_u64(parts[1]);
+    const auto idx_offset = parse_u64(parts[1]);
     if (!idx_offset || *idx_offset >= file_size ||
         *idx_offset < header_line.size()) {
       break;
@@ -528,7 +525,7 @@ bool SweepCache::load_one_segment_locked(const std::string& path) const {
     if (!count) break;
     const auto count_parts = split(*count, ' ');
     if (count_parts.size() != 2 || count_parts[0] != "idx") break;
-    const auto n = Reader::parse_u64(count_parts[1]);
+    const auto n = parse_u64(count_parts[1]);
     if (!n || *n > file_size) break;  // each idx line costs > 1 byte
     bool ok = true;
     records.reserve(*n);
@@ -538,8 +535,8 @@ bool SweepCache::load_one_segment_locked(const std::string& path) const {
       const auto f = split(*line, ' ');
       if (f.size() != 3) { ok = false; break; }
       const auto fp = parse_fp_hex(f[0]);
-      const auto off = Reader::parse_u64(f[1]);
-      const auto len = Reader::parse_u64(f[2]);
+      const auto off = parse_u64(f[1]);
+      const auto len = parse_u64(f[2]);
       if (!fp || !off || !len || *len == 0 || *len > kMaxRecordLen ||
           *off + *len > *idx_offset) {
         ok = false;
@@ -587,8 +584,6 @@ bool SweepCache::load_one_segment_locked(const std::string& path) const {
 
   segments_.push_back(Segment{path, fd});
   for (const auto& [fp, loc] : records) index_[fp] = loc;
-  ++stats_.segments;
-  stats_.pack_records += records.size();
   sc_in().segments.add(1);
   sc_in().pack_records.add(records.size());
   return true;
@@ -598,7 +593,6 @@ std::optional<ExperimentOutcome> SweepCache::lookup(
     const ExperimentSpec& spec) const {
   const Fingerprint fp = spec.fingerprint();
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.lookups;
   sc_in().lookups.add(1);
   const auto it = index_.find(fp);
   if (it == index_.end()) return std::nullopt;
@@ -610,10 +604,7 @@ std::optional<ExperimentOutcome> SweepCache::lookup(
   }
   // A collision or a damaged payload decodes to nullopt: a miss.
   auto out = decode_outcome(spec, bytes, format_version_);
-  if (out) {
-    ++stats_.hits;
-    sc_in().hits.add(1);
-  }
+  if (out) sc_in().hits.add(1);
   return out;
 }
 
@@ -659,7 +650,6 @@ bool SweepCache::ensure_active_locked() const {
     active_segment_ = static_cast<std::int32_t>(segments_.size());
     segments_.push_back(Segment{path, fd});
     active_offset_ = header_line.size();
-    ++stats_.segments;
     sc_in().segments.add(1);
     return true;
   }
@@ -692,9 +682,6 @@ void SweepCache::store(const ExperimentSpec& spec,
     index_[fp] = loc;
     active_records_.emplace_back(fp, loc);
     ++pending_records_;
-    ++stats_.stores;
-    stats_.store_bytes += bytes.size();
-    ++stats_.pack_records;
     sc_in().stores.add(1);
     sc_in().store_bytes.add(bytes.size());
     sc_in().pack_records.add(1);
@@ -721,7 +708,6 @@ void SweepCache::flush_locked() const {
       fail_locked(/*fsync=*/true);
       return;
     }
-    ++stats_.fsyncs;
     sc_in().fsyncs.add(1);
     pending_records_ = 0;
   }
@@ -749,7 +735,6 @@ void SweepCache::seal_active_locked() const {
   } else if (::fsync(fd) != 0) {
     fail_locked(/*fsync=*/true);
   } else {
-    ++stats_.fsyncs;
     sc_in().fsyncs.add(1);
   }
   active_segment_ = -1;
@@ -757,11 +742,6 @@ void SweepCache::seal_active_locked() const {
   active_records_.clear();
   pending_records_ = 0;
   active_broken_ = false;
-}
-
-SweepCache::Stats SweepCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 SweepCache::CompactStats SweepCache::compact() const {
@@ -829,12 +809,8 @@ SweepCache::CompactStats SweepCache::compact() const {
       std::filesystem::remove(new_path, ec);
       return cs;
     }
-    ++stats_.fsyncs;
     sc_in().fsyncs.add(1);
-    if (fsync_dir(dir_)) {
-      ++stats_.fsyncs;
-      sc_in().fsyncs.add(1);
-    }
+    if (fsync_dir(dir_)) sc_in().fsyncs.add(1);
 
     // Now the old files are redundant: drop them and settle the directory.
     for (Segment& seg : segments_) {
@@ -844,10 +820,7 @@ SweepCache::CompactStats SweepCache::compact() const {
       std::filesystem::remove(seg.path, ec);
       ++cs.segments_merged;
     }
-    if (fsync_dir(dir_)) {
-      ++stats_.fsyncs;
-      sc_in().fsyncs.add(1);
-    }
+    if (fsync_dir(dir_)) sc_in().fsyncs.add(1);
 
     // Reload from disk: exactly one sealed segment now.
     segments_.clear();

@@ -125,17 +125,10 @@ class SweepCache {
 
   const std::string& dir() const { return dir_; }
 
-  /// Observability counters (cumulative since construction).
-  struct Stats {
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t store_bytes = 0; ///< payload bytes written by store()
-    std::uint64_t fsyncs = 0;      ///< every fsync this cache issued
-    std::uint64_t segments = 0;    ///< pack segments loaded at open
-    std::uint64_t pack_records = 0;///< records indexed (open + own appends)
-  };
-  Stats stats() const;
+  // Counters: each cache event (lookup, hit, store, fsync, segment load,
+  // failure) is counted once, in the process metrics registry under
+  // `sweepcache.*` (DESIGN.md §11). There is no per-object view; a caller
+  // that wants one object's figures reads registry deltas across its life.
 
   /// Offline compaction (`rv_cli cache pack`): rewrites every readable
   /// record of every pack segment into ONE fresh sealed segment, then
@@ -186,7 +179,6 @@ class SweepCache {
   mutable std::uint64_t pending_records_ = 0;  ///< appended since last fsync
   mutable bool active_broken_ = false;  ///< append/fsync failed; stop packing
   mutable bool warned_ = false;  ///< the one stderr warning was printed
-  mutable Stats stats_;
 };
 
 }  // namespace asyncrv::runner

@@ -48,29 +48,6 @@ std::optional<std::string> percent_unescape(const std::string& s) {
   return out;
 }
 
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (true) {
-    const std::size_t end = s.find(sep, begin);
-    parts.push_back(s.substr(begin, end - begin));
-    if (end == std::string::npos) break;
-    begin = end + 1;
-  }
-  return parts;
-}
-
-std::optional<std::uint64_t> LineReader::parse_u64(const std::string& s) {
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    return std::nullopt;
-  }
-  try {
-    return std::stoull(s);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 std::optional<std::int64_t> LineReader::parse_i64(const std::string& s) {
   const bool neg = !s.empty() && s[0] == '-';
   const auto mag = parse_u64(neg ? s.substr(1) : s);

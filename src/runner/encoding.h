@@ -2,7 +2,8 @@
 // canonical spec layout (runner/spec.cc), the cache entry format
 // (runner/cache.cc), the registry id grammar (runner/registry.cc) and the
 // service wire protocol (service/protocol.cc) must all agree on escaping
-// and tokenization, so there is exactly one implementation of each.
+// and tokenization, so there is exactly one implementation of each (the
+// splitting and number parsing they share with obs/ live in util/text.h).
 #pragma once
 
 #include <cstdint>
@@ -10,6 +11,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "util/text.h"
 
 namespace asyncrv::runner {
 
@@ -20,10 +23,6 @@ std::string percent_escape(const std::string& s);
 
 /// Exact inverse of percent_escape; nullopt on a malformed '%' sequence.
 std::optional<std::string> percent_unescape(const std::string& s);
-
-/// Splits on every occurrence of `sep` (no trimming; "a::b" -> {"a","","b"},
-/// "" -> {""}).
-std::vector<std::string> split(const std::string& s, char sep);
 
 /// Line-oriented reader with strict key matching, shared by every consumer
 /// of the `key=value` formats (cache entries, canonical specs, STATUS
@@ -60,11 +59,6 @@ class LineReader {
     if (!v || (*v != "0" && *v != "1")) return std::nullopt;
     return *v == "1";
   }
-
-  /// Strict decimal u64: digits only, no sign, no leading/trailing space.
-  /// (Accepts leading zeros; canonical-form parsers that must reject them
-  /// compare the re-rendered value against the input.)
-  static std::optional<std::uint64_t> parse_u64(const std::string& s);
 
   /// Strict decimal i64 with an optional leading '-'.
   static std::optional<std::int64_t> parse_i64(const std::string& s);

@@ -48,17 +48,16 @@ GraphHandle GraphCache::resolve(const std::string& id) {
       ++stats_.hits;
       GraphCacheInstruments::get().lookups.add(1);
       GraphCacheInstruments::get().hits.add(1);
-      // Touch for LRU — unless a concurrent evict/clear already removed
-      // the entry (the handle stays servable either way).
+      // Touch for LRU — unless a concurrent eviction already removed the
+      // entry (the handle stays servable either way).
       if (entry->in_lru) lru_.splice(lru_.begin(), lru_, entry->lru_it);
       return entry->graph;
     }
     {
       // Unbuilt entry: either we created it just now, or we waited on a
-      // builder that failed and discarded it (or a concurrent clear() or
-      // eviction). Only the entry still registered in the map may be built
-      // into — anything else restarts the resolve so accounting stays
-      // exact.
+      // builder that failed and discarded it. Only the entry still
+      // registered in the map may be built into — a discarded one restarts
+      // the resolve so accounting stays exact.
       const std::lock_guard<std::mutex> lock(mutex_);
       auto it = entries_.find(id);
       if (it == entries_.end() || it->second != entry) continue;
@@ -70,28 +69,21 @@ GraphHandle GraphCache::resolve(const std::string& id) {
       ++stats_.builds;
       GraphCacheInstruments::get().lookups.add(1);
       GraphCacheInstruments::get().builds.add(1);
-      auto it = entries_.find(id);
-      if (it != entries_.end() && it->second == entry) {
-        // Still the registered entry: intern and account for residency.
-        entry->graph = std::move(built);
-        lru_.push_front(id);
-        entry->lru_it = lru_.begin();
-        entry->in_lru = true;
-        ++stats_.resident_graphs;
-        stats_.resident_bytes += entry->graph->memory_bytes();
-        if (stats_.resident_bytes > stats_.resident_bytes_hwm) {
-          stats_.resident_bytes_hwm = stats_.resident_bytes;
-        }
-        GraphCacheInstruments::get().resident_graphs.set(
-            stats_.resident_graphs);
-        GraphCacheInstruments::get().resident_bytes.set(stats_.resident_bytes);
-        return entry->graph;
+      // Still the registered entry: eviction drops only built entries and
+      // a failed build erases only its own, so nothing can have removed it
+      // while we held its build lock. Intern and account for residency.
+      entry->graph = std::move(built);
+      lru_.push_front(id);
+      entry->lru_it = lru_.begin();
+      entry->in_lru = true;
+      ++stats_.resident_graphs;
+      stats_.resident_bytes += entry->graph->memory_bytes();
+      if (stats_.resident_bytes > stats_.resident_bytes_hwm) {
+        stats_.resident_bytes_hwm = stats_.resident_bytes;
       }
-      // A concurrent clear() discarded the entry mid-build: hand this
-      // caller its instance without interning it (the resident counters
-      // must only cover what the map can still serve); entry->graph stays
-      // unset, so waiters re-resolve through the map.
-      return built;
+      GraphCacheInstruments::get().resident_graphs.set(stats_.resident_graphs);
+      GraphCacheInstruments::get().resident_bytes.set(stats_.resident_bytes);
+      return entry->graph;
     } catch (...) {
       // Never intern a failure: discard the entry so later resolves (and
       // any threads that were waiting on this attempt) retry, and rethrow.
@@ -116,8 +108,8 @@ void GraphCache::evict_locked(
   entry.in_lru = false;
   // Removing the map registration is what makes the next resolve rebuild
   // (and makes any in-flight waiter on this entry restart cleanly — the
-  // same discipline clear() and failed builds use). The entry object
-  // itself stays alive as long as someone holds its shared_ptr.
+  // same discipline failed builds use). The entry object itself stays
+  // alive as long as someone holds its shared_ptr.
   entries_.erase(it);
 }
 
@@ -146,14 +138,6 @@ std::uint64_t GraphCache::evict_until(std::uint64_t max_bytes) {
 GraphCache::Stats GraphCache::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-void GraphCache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [id, entry] : entries_) entry->in_lru = false;
-  entries_.clear();
-  lru_.clear();
-  stats_ = Stats{};
 }
 
 }  // namespace asyncrv::runner

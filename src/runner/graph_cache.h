@@ -83,16 +83,12 @@ class GraphCache {
   /// Counter snapshot (thread-safe).
   Stats stats() const;
 
-  /// Drops every interned instance and zeroes the counters. Outstanding
-  /// handles stay valid (shared ownership); later resolves rebuild.
-  void clear();
-
  private:
   struct Entry {
     std::mutex build_mutex;
     GraphHandle graph;  ///< set exactly once, under build_mutex
     /// Position in lru_ while interned (most recent at front); only valid
-    /// when in_lru (set when the build commits, cleared on evict/clear).
+    /// when in_lru (set when the build commits, cleared on evict).
     std::list<std::string>::iterator lru_it;
     bool in_lru = false;
   };

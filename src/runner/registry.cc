@@ -11,17 +11,15 @@ namespace asyncrv::runner {
 
 namespace {
 
-std::uint64_t parse_u64(const std::string& s, const std::string& id) {
-  // Digits only: std::stoull would silently wrap negatives ("-3" becomes
-  // 18446744073709551613 and then a multi-gigabyte graph).
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+/// A digits-only numeric argument of `id` (a bare std::stoull would silently
+/// wrap negatives: "-3" becomes 18446744073709551613 and then a
+/// multi-gigabyte graph).
+std::uint64_t numeric_arg(const std::string& s, const std::string& id) {
+  const auto v = parse_u64(s);
+  if (!v) {
     throw std::logic_error("bad numeric argument '" + s + "' in '" + id + "'");
   }
-  try {
-    return std::stoull(s);
-  } catch (const std::exception&) {
-    throw std::logic_error("bad numeric argument '" + s + "' in '" + id + "'");
-  }
+  return *v;
 }
 
 /// "<a>x<b>" -> {a, b}.
@@ -31,7 +29,7 @@ std::pair<std::uint64_t, std::uint64_t> parse_dims(const std::string& s,
   if (x == std::string::npos) {
     throw std::logic_error("expected <w>x<h> argument in graph id '" + id + "'");
   }
-  return {parse_u64(s.substr(0, x), id), parse_u64(s.substr(x + 1), id)};
+  return {numeric_arg(s.substr(0, x), id), numeric_arg(s.substr(x + 1), id)};
 }
 
 /// Cap on node counts in graph ids: large enough for any realistic sweep,
@@ -43,7 +41,7 @@ Graph build_family(const std::string& id) {
   const auto parts = split(id, ':');
   const std::string& family = parts.front();
   const std::size_t nargs = parts.size() - 1;
-  const auto arg = [&](std::size_t i) { return parse_u64(parts[i + 1], id); };
+  const auto arg = [&](std::size_t i) { return numeric_arg(parts[i + 1], id); };
   // A node-count (or node-count-like) argument: range-checked so the later
   // static_cast<Node> cannot truncate.
   const auto node_arg = [&](std::size_t i) {
@@ -136,8 +134,8 @@ Graph build_rreg(const std::string& base, std::uint64_t seed,
   if (comma == std::string::npos) {
     throw std::logic_error("expected rreg:<n>,<d> in graph id '" + id + "'");
   }
-  const std::uint64_t n = parse_u64(parts[1].substr(0, comma), id);
-  const std::uint64_t d = parse_u64(parts[1].substr(comma + 1), id);
+  const std::uint64_t n = numeric_arg(parts[1].substr(0, comma), id);
+  const std::uint64_t d = numeric_arg(parts[1].substr(comma + 1), id);
   if (n > kMaxNodes) {
     throw std::logic_error("size argument " + std::to_string(n) +
                            " exceeds the " + std::to_string(kMaxNodes) +
@@ -158,11 +156,11 @@ Graph make_graph(const std::string& id) {
   if (base.rfind("rreg:", 0) == 0) {
     return build_rreg(base, at == std::string::npos
                                 ? 1
-                                : parse_u64(id.substr(at + 1), id),
+                                : numeric_arg(id.substr(at + 1), id),
                       id);
   }
   if (at == std::string::npos) return build_family(id);
-  return build_family(base).shuffle_ports(parse_u64(id.substr(at + 1), id));
+  return build_family(base).shuffle_ports(numeric_arg(id.substr(at + 1), id));
 }
 
 std::vector<std::string> small_catalog_ids() {
@@ -189,14 +187,14 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name,
     if (parts.size() != 3) {
       throw std::logic_error("expected stall:<agent>:<traversals>: " + name);
     }
-    const std::uint64_t agent = parse_u64(parts[1], name);
+    const std::uint64_t agent = numeric_arg(parts[1], name);
     if (agent > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
       throw std::logic_error("stall agent index out of range: " + name);
     }
     // The index is range-checked against the actual agent count when the
     // adversary first runs (StallAdversary::next).
     return make_stall_adversary(static_cast<int>(agent),
-                                parse_u64(parts[2], name));
+                                numeric_arg(parts[2], name));
   }
   if (name == "burst") return make_burst_adversary(seed);
   if (name == "oscillating") return make_oscillating_adversary(seed);

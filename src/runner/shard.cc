@@ -1,21 +1,53 @@
 #include "runner/shard.h"
 
-#include <limits.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
 #include "obs/trace.h"
-#include "runner/encoding.h"
 #include "runner/pipeline.h"
 
 namespace asyncrv::runner {
+
+namespace {
+
+/// The counted fields of ShardWorkerStats and the registry counter each one
+/// reads — the registry is the only tally (DESIGN.md §11).
+struct CountedField {
+  std::uint64_t ShardWorkerStats::*field;
+  const char* counter;
+};
+constexpr CountedField kCountedFields[] = {
+    {&ShardWorkerStats::hits, "pipeline.cache_hits"},
+    {&ShardWorkerStats::executed, "pipeline.executed"},
+    {&ShardWorkerStats::fsyncs, "sweepcache.fsyncs"},
+    {&ShardWorkerStats::store_bytes, "sweepcache.store_bytes"},
+};
+
+std::string read_to_eof(int fd) {
+  std::string out;
+  char buf[4096];
+  for (;;) {
+    const ::ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return out;
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+}
+
+/// Closes the workers' read ends opened so far, then throws.
+[[noreturn]] void fail(const std::vector<int>& read_fds, const char* what) {
+  for (const int fd : read_fds) ::close(fd);
+  throw std::runtime_error(std::string("run_sharded: ") + what + " failed");
+}
+
+}  // namespace
 
 int shard_of(const Fingerprint& fp, int shards) {
   if (shards <= 1) return 0;
@@ -66,6 +98,12 @@ ShardWorkerStats run_shard(const std::vector<ExperimentSpec>& specs,
     copts.flush_every = 0;
   }
 
+  // Registry deltas across the cache's whole life, so the fsync that
+  // seals its segment on destruction is counted too.
+  std::uint64_t before[std::size(kCountedFields)];
+  for (std::size_t i = 0; i < std::size(kCountedFields); ++i) {
+    before[i] = obs::metrics().counter(kCountedFields[i].counter).value();
+  }
   // Scoped so the cache seals its segment before we return (and before a
   // forked worker _exits without running static destructors).
   {
@@ -81,12 +119,11 @@ ShardWorkerStats run_shard(const std::vector<ExperimentSpec>& specs,
         ::pause();  // unreachable; SIGKILL cannot be handled
       };
     }
-    const PipelineReport report = ExperimentPipeline(popts).run(std::move(mine));
-    stats.hits = report.cache_hits;
-    stats.executed = report.executed;
-    const SweepCache::Stats cs = cache.stats();
-    stats.fsyncs = cs.fsyncs;
-    stats.store_bytes = cs.store_bytes;
+    ExperimentPipeline(popts).run(std::move(mine));
+  }
+  for (std::size_t i = 0; i < std::size(kCountedFields); ++i) {
+    stats.*kCountedFields[i].field =
+        obs::metrics().counter(kCountedFields[i].counter).value() - before[i];
   }
   return stats;
 }
@@ -112,11 +149,7 @@ ShardRun run_sharded(const std::vector<ExperimentSpec>& specs,
                      const ShardDriverOptions& options) {
   ShardRun run;
   const auto plan = plan_shards(specs, options.shards);
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    throw std::runtime_error("run_sharded: pipe() failed");
-  }
+  std::vector<int> read_fds;  // one pipe per worker, parallel to run.workers
 
   // Inherited stdio buffers would be flushed once per child on _exit,
   // duplicating anything pending — settle them before forking.
@@ -126,23 +159,23 @@ ShardRun run_sharded(const std::vector<ExperimentSpec>& specs,
   for (int k = 0; k < options.shards; ++k) {
     const auto& shard = plan[static_cast<std::size_t>(k)];
     if (shard.empty()) continue;
+    int pipe_fds[2];
+    if (::pipe(pipe_fds) != 0) fail(read_fds, "pipe()");
     const ::pid_t pid = ::fork();
     if (pid < 0) {
       ::close(pipe_fds[0]);
       ::close(pipe_fds[1]);
-      throw std::runtime_error("run_sharded: fork() failed");
+      fail(read_fds, "fork()");
     }
     if (pid == 0) {
-      // Worker: execute the shard, report one stats line (plus one metrics
-      // line), and _exit — never return into the parent's stack.
+      // Worker: execute the shard, write the registry snapshot to its own
+      // pipe, and _exit — never return into the parent's stack.
       ::close(pipe_fds[0]);
       // The child inherits whatever the parent's registry accumulated;
       // reset so the shipped snapshot covers exactly this worker's shard
       // and the parent's merge never double-counts inherited totals.
       obs::metrics().reset();
       int code = 1;
-      std::string line;
-      std::string metrics_line;
       try {
         ShardWorkerOptions wopts;
         wopts.cache_dir = options.cache_dir;
@@ -152,103 +185,48 @@ ShardRun run_sharded(const std::vector<ExperimentSpec>& specs,
         wopts.batch_size = options.batch_size;
         wopts.progress = options.progress;
         if (k == options.kill_worker) wopts.kill_after = options.kill_after;
-        const ShardWorkerStats s = run_shard(specs, shard, wopts);
-        line = "shard " + std::to_string(k) + " cells " +
-               std::to_string(s.cells) + " hits " + std::to_string(s.hits) +
-               " executed " + std::to_string(s.executed) + " fsyncs " +
-               std::to_string(s.fsyncs) + " store_bytes " +
-               std::to_string(s.store_bytes) + "\n";
-        metrics_line = "metrics " + std::to_string(k) + " " +
-                       percent_escape(obs::metrics().snapshot().to_text()) +
-                       "\n";
-        code = 0;
+        run_shard(specs, shard, wopts);
+        const std::string text = obs::metrics().snapshot().to_text();
+        std::FILE* out = ::fdopen(pipe_fds[1], "w");
+        if (out != nullptr &&
+            std::fwrite(text.data(), 1, text.size(), out) == text.size() &&
+            std::fclose(out) == 0) {
+          code = 0;
+        }
       } catch (const std::exception& e) {
-        line = "shard " + std::to_string(k) + " error " +
-               percent_escape(e.what()) + "\n";
-      }
-      // One line well under PIPE_BUF: the write is atomic, so concurrent
-      // workers' reports never interleave mid-line.
-      (void)!::write(pipe_fds[1], line.data(), line.size());
-      // The metrics snapshot rides the same pipe as its own line (escaped,
-      // so newline-free). Only a line that fits one atomic write is sent —
-      // a too-large snapshot is dropped rather than risk tearing another
-      // worker's report mid-line.
-      if (!metrics_line.empty() && metrics_line.size() <= PIPE_BUF) {
-        (void)!::write(pipe_fds[1], metrics_line.data(), metrics_line.size());
+        std::fprintf(stderr, "error: shard %d: %s\n", k, e.what());
       }
       ::_exit(code);
     }
+    ::close(pipe_fds[1]);  // parent holds only the read end
+    read_fds.push_back(pipe_fds[0]);
     ShardWorkerResult res;
     res.shard = k;
     res.pid = pid;
     res.stats.cells = shard.size();
     run.workers.push_back(res);
   }
-  ::close(pipe_fds[1]);  // parent holds only the read end
 
-  for (ShardWorkerResult& w : run.workers) {
+  // Each pipe reaches EOF when its worker exits (or dies): only that worker
+  // holds its write end. Read it fully before reaping, so a snapshot larger
+  // than the pipe buffer never blocks its writer.
+  for (std::size_t i = 0; i < run.workers.size(); ++i) {
+    ShardWorkerResult& w = run.workers[i];
+    const std::string text = read_to_eof(read_fds[i]);
+    ::close(read_fds[i]);
     int status = 0;
     while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
     }
     w.wait_status = status;
-  }
-
-  // Drain the stats lines (EOF is guaranteed: every write end is closed).
-  std::string blob;
-  char buf[4096];
-  for (;;) {
-    const ::ssize_t n = ::read(pipe_fds[0], buf, sizeof(buf));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    blob.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(pipe_fds[0]);
-
-  LineReader in(blob);
-  while (const auto line = in.line()) {
-    // Metrics lines: "metrics <shard> <percent-escaped snapshot>". The
-    // payload contains spaces, so split only the two-token prefix.
-    if (line->rfind("metrics ", 0) == 0) {
-      const std::size_t sp = line->find(' ', 8);
-      if (sp == std::string::npos) continue;
-      const auto shard = LineReader::parse_u64(line->substr(8, sp - 8));
-      const auto text = percent_unescape(line->substr(sp + 1));
-      if (!shard || !text) continue;
-      const auto snap = obs::Snapshot::from_text(*text);
-      if (!snap) continue;
-      for (ShardWorkerResult& w : run.workers) {
-        if (static_cast<std::uint64_t>(w.shard) != *shard) continue;
-        w.metrics = *snap;
-        run.fleet_metrics.merge(*snap);
-        break;
-      }
-      continue;
+    auto snap = obs::Snapshot::from_text(text);
+    if (!snap) continue;
+    w.reported = true;
+    for (const CountedField& f : kCountedFields) {
+      const auto c = snap->counters.find(f.counter);
+      w.stats.*f.field = c == snap->counters.end() ? 0 : c->second;
     }
-    const auto f = split(*line, ' ');
-    if (f.size() != 12 || f[0] != "shard") continue;  // error line or torn
-    const auto shard = LineReader::parse_u64(f[1]);
-    const auto cells = f[2] == "cells" ? LineReader::parse_u64(f[3])
-                                       : std::optional<std::uint64_t>();
-    const auto hits = f[4] == "hits" ? LineReader::parse_u64(f[5])
-                                     : std::optional<std::uint64_t>();
-    const auto executed = f[6] == "executed" ? LineReader::parse_u64(f[7])
-                                             : std::optional<std::uint64_t>();
-    const auto fsyncs = f[8] == "fsyncs" ? LineReader::parse_u64(f[9])
-                                         : std::optional<std::uint64_t>();
-    const auto bytes = f[10] == "store_bytes"
-                           ? LineReader::parse_u64(f[11])
-                           : std::optional<std::uint64_t>();
-    if (!shard || !cells || !hits || !executed || !fsyncs || !bytes) continue;
-    for (ShardWorkerResult& w : run.workers) {
-      if (static_cast<std::uint64_t>(w.shard) != *shard) continue;
-      w.reported = true;
-      w.stats.cells = *cells;
-      w.stats.hits = *hits;
-      w.stats.executed = *executed;
-      w.stats.fsyncs = *fsyncs;
-      w.stats.store_bytes = *bytes;
-      break;
-    }
+    run.fleet_metrics.merge(*snap);
+    w.metrics = std::move(*snap);
   }
   return run;
 }

@@ -41,14 +41,16 @@ int shard_of(const Fingerprint& fp, int shards);
 std::vector<std::vector<std::size_t>> plan_shards(
     const std::vector<ExperimentSpec>& specs, int shards);
 
-/// What one worker did with its shard (and what it observed its private
-/// cache object do).
+/// What one worker did with its shard. Every field but `cells` (the plan's
+/// shard size) is a metrics-registry counter of the worker — the registry
+/// is the only tally (DESIGN.md §11) — so these always equal the same
+/// counters in the worker's snapshot.
 struct ShardWorkerStats {
   std::uint64_t cells = 0;     ///< shard size
-  std::uint64_t hits = 0;      ///< served from the shared cache
-  std::uint64_t executed = 0;  ///< simulated (and stored) by this worker
-  std::uint64_t fsyncs = 0;
-  std::uint64_t store_bytes = 0;
+  std::uint64_t hits = 0;      ///< pipeline.cache_hits: served from cache
+  std::uint64_t executed = 0;  ///< pipeline.executed: simulated and stored
+  std::uint64_t fsyncs = 0;    ///< sweepcache.fsyncs, the seal's included
+  std::uint64_t store_bytes = 0;  ///< sweepcache.store_bytes
 };
 
 struct ShardWorkerOptions {
@@ -67,7 +69,10 @@ struct ShardWorkerOptions {
 
 /// Runs `shard` (indices into `specs`) through a batched pipeline against
 /// its own SweepCache object on the shared directory. No sinks: workers
-/// only populate the cache; rows are rendered by the merge run.
+/// only populate the cache; rows are rendered by the merge run. The counted
+/// stats are registry deltas across the cache object's whole life (its
+/// closing seal included), so nothing else may drive a pipeline or a sweep
+/// cache in this process meanwhile.
 ShardWorkerStats run_shard(const std::vector<ExperimentSpec>& specs,
                            const std::vector<std::size_t>& shard,
                            const ShardWorkerOptions& options);
@@ -89,11 +94,12 @@ struct ShardWorkerResult {
   int shard = 0;
   ::pid_t pid = 0;
   int wait_status = 0;  ///< raw waitpid status (WIFEXITED / WIFSIGNALED)
-  bool reported = false;///< stats line received (false for killed workers)
-  ShardWorkerStats stats;
-  /// The worker's full metrics-registry snapshot (asyncrv.metrics.v1),
-  /// shipped over the stats pipe. Empty for killed workers and for
-  /// snapshots too large for one atomic pipe write.
+  /// The worker's snapshot arrived and parsed (false for killed or failed
+  /// workers, which write none).
+  bool reported = false;
+  ShardWorkerStats stats;  ///< `cells` from the plan, the rest from `metrics`
+  /// The worker's full metrics-registry snapshot (asyncrv.metrics.v1), the
+  /// whole content of its pipe. Empty when not `reported`.
   obs::Snapshot metrics;
 };
 
@@ -111,10 +117,12 @@ struct ShardRun {
   std::uint64_t total(std::uint64_t ShardWorkerStats::*field) const;
 };
 
-/// Forks one worker process per non-empty shard (children _exit and report
-/// stats over a shared pipe) and reaps them all. The parent touches
-/// neither the cache nor the specs' outcomes — state flows only through
-/// the shared cache directory, exactly as it would across machines.
+/// Forks one worker process per non-empty shard, each with its own pipe:
+/// the worker writes its registry snapshot and _exits (a worker that throws
+/// writes none and prints one `error: shard <k>: <what>` line on stderr);
+/// the parent reads each pipe to EOF, then reaps its worker. The parent
+/// touches neither the cache nor the specs' outcomes — state flows only
+/// through the shared cache directory, exactly as it would across machines.
 ShardRun run_sharded(const std::vector<ExperimentSpec>& specs,
                      const ShardDriverOptions& options);
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "util/check.h"
+#include "util/text.h"
 
 namespace asyncrv::runner {
 
@@ -24,29 +25,6 @@ std::string csv_escape(const std::string& s) {
     else out.push_back(c);
   }
   out += '"';
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
   return out;
 }
 

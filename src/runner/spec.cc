@@ -237,10 +237,10 @@ std::optional<SglSpec> parse_sgl(LineReader& in) {
     if (!line) return std::nullopt;
     const auto parts = split(*line, ':');
     if (parts.size() != 5) return std::nullopt;
-    const auto start = LineReader::parse_u64(parts[0]);
-    const auto label = LineReader::parse_u64(parts[1]);
+    const auto start = parse_u64(parts[0]);
+    const auto label = parse_u64(parts[1]);
     const auto value = percent_unescape(parts[2]);
-    const auto wake = LineReader::parse_u64(parts[4]);
+    const auto wake = parse_u64(parts[4]);
     if (!start || *start > 0xffffffffULL || !label || !value || !wake ||
         (parts[3] != "0" && parts[3] != "1")) {
       return std::nullopt;

@@ -1,6 +1,6 @@
 // asyncrvd — the resident experiment daemon (DESIGN.md §9).
 //
-//   asyncrvd --socket /tmp/asyncrvd.sock --cache-dir /var/cache/asyncrv \
+//   asyncrvd --socket /tmp/asyncrvd.sock --cache-dir /var/cache/asyncrv
 //            --memory-cap 64m --jobs 2
 //
 // Serves asyncrv.proto.v1 on a Unix-domain socket until DRAIN/SHUTDOWN or
@@ -12,8 +12,8 @@
 #include <string>
 
 #include "obs/trace.h"
-#include "runner/encoding.h"
 #include "service/server.h"
+#include "util/text.h"
 
 namespace {
 
@@ -33,7 +33,7 @@ std::optional<std::uint64_t> parse_bytes(std::string s) {
     if (suffix == 'g' || suffix == 'G') scale = 1ull << 30;
     if (scale != 1) s.pop_back();
   }
-  const auto v = asyncrv::runner::LineReader::parse_u64(s);
+  const auto v = asyncrv::parse_u64(s);
   if (!v) return std::nullopt;
   return *v * scale;
 }

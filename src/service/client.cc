@@ -10,8 +10,8 @@
 #include <thread>
 #include <utility>
 
-#include "runner/encoding.h"
 #include "service/protocol.h"
+#include "util/text.h"
 
 namespace asyncrv::service {
 
@@ -203,7 +203,7 @@ std::optional<Client::JobStats> Client::streamed_job(
         const std::size_t eq = tok.find('=');
         if (eq == std::string::npos) continue;
         const std::string key = tok.substr(0, eq);
-        const auto value = runner::LineReader::parse_u64(tok.substr(eq + 1));
+        const auto value = parse_u64(tok.substr(eq + 1));
         if (!value) continue;
         if (key == "scenarios") stats.scenarios = *value;
         else if (key == "ok") stats.ok = *value;

@@ -175,12 +175,12 @@ RequestParser::Event RequestParser::header_event(const std::string& line) {
     }
     std::uint64_t evaluations = 200, seed = 42;
     if (toks.size() > 3) {
-      const auto v = LineReader::parse_u64(toks[3]);
+      const auto v = parse_u64(toks[3]);
       if (!v) return error_event(ErrCode::BadRequest, "bad evals: " + toks[3]);
       evaluations = *v;
     }
     if (toks.size() > 4) {
-      const auto v = LineReader::parse_u64(toks[4]);
+      const auto v = parse_u64(toks[4]);
       if (!v) return error_event(ErrCode::BadRequest, "bad seed: " + toks[4]);
       seed = *v;
     }
@@ -196,7 +196,7 @@ RequestParser::Event RequestParser::header_event(const std::string& line) {
   if (verb == "EVICT") {
     Request req{.verb = Verb::Evict};
     if (!args.empty()) {
-      const auto v = LineReader::parse_u64(args);
+      const auto v = parse_u64(args);
       if (!v) {
         return error_event(ErrCode::BadRequest, "bad byte cap: " + args);
       }

@@ -96,7 +96,7 @@ struct Request {
   Verb verb = Verb::Ping;
   /// RUN: exactly 1; SWEEP: 1..kMaxSweepSpecs; SEARCH: the 1 spec built
   /// from the command arguments. Empty for the control verbs.
-  std::vector<runner::ExperimentSpec> specs;
+  std::vector<runner::ExperimentSpec> specs{};
   bool has_bytes = false;      ///< EVICT carried an explicit byte cap
   std::uint64_t bytes = 0;     ///< the EVICT cap (0 = evict everything)
 };

@@ -20,9 +20,8 @@ namespace asyncrv::service {
 
 namespace {
 
-/// The daemon's registry instruments (DESIGN.md §11) — mirrors of the
-/// member tallies STATUS reports, so METRICS and STATUS can be
-/// cross-checked against each other (the CI obs-smoke job does).
+/// The daemon's registry instruments (DESIGN.md §11) — the only tally of
+/// its job, row and rejection events; STATUS prints these same counters.
 struct DaemonInstruments {
   obs::Counter& jobs_completed =
       obs::metrics().counter("daemon.jobs_completed");
@@ -167,7 +166,6 @@ void Server::run_job(const Job& job) {
     try {
       std::string row =
           "row " + runner::jsonl_line(schema, runner::sweep_row(spec, outcome));
-      rows_streamed_.fetch_add(1, std::memory_order_relaxed);
       DaemonInstruments::get().rows_streamed.add(1);
       post(job.conn_gen, std::move(row));
       post(0, "event job=" + std::to_string(job.id) +
@@ -222,7 +220,6 @@ void Server::drain_outbox() {
     }
     if (out.job_done) {
       --in_flight_;
-      ++jobs_completed_;
       DaemonInstruments::get().jobs_completed.add(1);
       // Group-commit boundary: everything the finished job stored is
       // crash-durable before its `done` frame reaches the client. (The
@@ -272,9 +269,11 @@ std::string Server::status_response() const {
   kvu("graph_resident", g.resident_graphs);
   kvu("graph_resident_bytes", g.resident_bytes);
   kvu("graph_resident_bytes_hwm", g.resident_bytes_hwm);
-  kvu("jobs_completed", jobs_completed_);
-  kvu("rows_streamed", rows_streamed_.load(std::memory_order_relaxed));
-  kvu("busy_rejections", busy_rejections_);
+  // Process counters: every Server in this process adds to them.
+  const DaemonInstruments& d = DaemonInstruments::get();
+  kvu("jobs_completed", d.jobs_completed.value());
+  kvu("rows_streamed", d.rows_streamed.value());
+  kvu("busy_rejections", d.busy_rejections.value());
   r += "end\n";
   return r;
 }
@@ -292,7 +291,6 @@ void Server::admit_job(Connection& conn, const char* kind,
     return;
   }
   if (in_flight_ >= options_.jobs + options_.max_queue) {
-    ++busy_rejections_;
     DaemonInstruments::get().busy_rejections.add(1);
     conn.out += err_line(ErrCode::Busy, "admission queue full");
     return;

@@ -30,6 +30,13 @@
 // an overloaded daemon degrades predictably instead of buffering without
 // bound.
 //
+// STATUS: `jobs_completed`, `rows_streamed` and `busy_rejections` print
+// the process metrics-registry counters `daemon.*` (DESIGN.md §11), the
+// same numbers METRICS reports — there is no per-Server tally. asyncrvd
+// runs one Server per process, so they count that daemon; a process that
+// hosts several Servers sees their sum. The `graph_*` keys are this
+// Server's own GraphCache.
+//
 // Memory cap: after every job, interned graphs are LRU-evicted until
 // resident bytes fit `memory_cap` (GraphCache::evict_until), so a
 // long-lived daemon serving large-graph sweeps keeps a bounded footprint
@@ -43,7 +50,6 @@
 // mid-scenario) and the socket closes immediately after.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -161,8 +167,6 @@ class Server {
   bool draining_ = false;
   bool stopping_ = false;  ///< loop exit requested (drain done or SHUTDOWN)
   int in_flight_ = 0;      ///< admitted jobs not yet completed
-  std::uint64_t busy_rejections_ = 0;
-  std::uint64_t jobs_completed_ = 0;
 
   // Worker-shared state.
   std::mutex queue_mutex_;
@@ -173,8 +177,6 @@ class Server {
 
   std::mutex outbox_mutex_;
   std::vector<Outbound> outbox_;
-
-  std::atomic<std::uint64_t> rows_streamed_{0};
 };
 
 }  // namespace asyncrv::service

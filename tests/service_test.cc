@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runner/pipeline.h"
 #include "runner/registry.h"
 #include "runner/sink.h"
@@ -42,7 +43,9 @@ std::string fresh_dir(const std::string& name) {
 }
 
 /// A live in-process daemon: bind() completes before the loop thread
-/// starts, so clients never race the socket's existence.
+/// starts, so clients never race the socket's existence. STATUS prints
+/// process counters, so each daemon starts from a zeroed registry — as
+/// asyncrvd, one daemon per process, does.
 struct Daemon {
   service::ServerOptions opts;
   std::optional<service::Server> server;
@@ -50,6 +53,7 @@ struct Daemon {
   int rc = -1;
 
   explicit Daemon(service::ServerOptions o) : opts(std::move(o)) {
+    obs::metrics().reset();
     server.emplace(opts);
     server->bind();
     thread = std::thread([this] { rc = server->run(); });

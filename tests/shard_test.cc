@@ -12,11 +12,13 @@
 #include <algorithm>
 #include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runner/pipeline.h"
 #include "runner/registry.h"
 #include "runner/sink.h"
@@ -48,6 +50,11 @@ std::string merged_jsonl(const std::vector<runner::ExperimentSpec>& specs,
   const auto report = runner::ExperimentPipeline(popts).run(specs);
   if (executed != nullptr) *executed = report.executed;
   return os.str();
+}
+
+std::uint64_t counter(const obs::Snapshot& snap, const std::string& name) {
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
 }
 
 const runner::ShardWorkerResult& worker_for_shard(const runner::ShardRun& run,
@@ -94,6 +101,7 @@ TEST(Shard, InProcessWorkerExecutesColdAndServesWarm) {
   EXPECT_EQ(cold.executed, plan[1].size());
   EXPECT_EQ(cold.hits, 0u);
   EXPECT_GT(cold.store_bytes, 0u);
+  EXPECT_EQ(cold.fsyncs, 2u) << "the pipeline's closing flush and the seal";
 
   const auto warm = runner::run_shard(specs, plan[1], wopts);
   EXPECT_EQ(warm.hits, plan[1].size());
@@ -175,6 +183,77 @@ TEST(Shard, KilledWorkerResumesWithoutReexecutingCommittedCells) {
   const std::string merged = merged_jsonl(specs, dir, &merged_executed);
   EXPECT_EQ(merged_executed, 0u);
   EXPECT_EQ(merged, merged_jsonl(specs, single_dir));
+}
+
+TEST(Shard, WorkerStatsAreTheWorkersRegistryCounters) {
+  // One count per event: each reported worker's stats are read from its
+  // own registry snapshot, so they match it exactly — the fsync that seals
+  // the worker's segment on the way out included — on a cold pass (stores,
+  // flushes, seals) and a warm one (hits only).
+  const std::string dir = fresh_dir("shard_counters");
+  const auto specs = runner::scale_grid(200);
+  runner::ShardDriverOptions dopts;
+  dopts.cache_dir = dir;
+  dopts.shards = 3;
+  for (const char* pass : {"cold", "warm"}) {
+    SCOPED_TRACE(pass);
+    const auto run = runner::run_sharded(specs, dopts);
+    ASSERT_TRUE(run.ok());
+    for (const auto& w : run.workers) {
+      ASSERT_TRUE(w.reported);
+      EXPECT_EQ(w.stats.hits, counter(w.metrics, "pipeline.cache_hits"));
+      EXPECT_EQ(w.stats.executed, counter(w.metrics, "pipeline.executed"));
+      EXPECT_EQ(w.stats.fsyncs, counter(w.metrics, "sweepcache.fsyncs"));
+      EXPECT_EQ(w.stats.store_bytes,
+                counter(w.metrics, "sweepcache.store_bytes"));
+    }
+    EXPECT_EQ(run.total(&runner::ShardWorkerStats::fsyncs),
+              counter(run.fleet_metrics, "sweepcache.fsyncs"));
+  }
+}
+
+TEST(Shard, FailingWorkerWritesNoSnapshot) {
+  // A cache directory under a regular file cannot be created, so every
+  // worker throws: it prints one `error: shard <k>:` line on stderr, exits
+  // 1 and reports nothing.
+  const std::string file = fresh_dir("shard_not_a_dir");
+  std::ofstream(file) << "not a directory\n";
+  runner::ShardDriverOptions dopts;
+  dopts.cache_dir = file + "/cache";
+  dopts.shards = 2;
+  const auto run = runner::run_sharded(runner::scale_grid(50), dopts);
+  EXPECT_FALSE(run.ok());
+  ASSERT_EQ(run.workers.size(), 2u);
+  for (const auto& w : run.workers) {
+    EXPECT_TRUE(WIFEXITED(w.wait_status));
+    EXPECT_EQ(WEXITSTATUS(w.wait_status), 1);
+    EXPECT_FALSE(w.reported);
+    EXPECT_TRUE(w.metrics.empty());
+  }
+  EXPECT_TRUE(run.fleet_metrics.empty());
+}
+
+TEST(Shard, SnapshotsLargerThanAPipeBufferArriveWhole) {
+  // Registered names survive the worker's reset(), so every worker's
+  // snapshot also lists these zero-valued counters: ~75 KB each, past
+  // PIPE_BUF and past a default 64 KiB pipe, so the parent must read each
+  // pipe while its worker is still writing.
+  for (int i = 0; i < 150; ++i) {
+    obs::metrics().counter("test.padding." + std::string(480, 'x') + "." +
+                           std::to_string(i));
+  }
+  const std::string dir = fresh_dir("shard_big_snapshot");
+  const auto specs = runner::scale_grid(200);
+  runner::ShardDriverOptions dopts;
+  dopts.cache_dir = dir;
+  dopts.shards = 4;
+  const auto run = runner::run_sharded(specs, dopts);
+  ASSERT_TRUE(run.ok());
+  for (const auto& w : run.workers) {
+    EXPECT_TRUE(w.reported);
+    EXPECT_GT(w.metrics.to_text().size(), 64u * 1024);
+  }
+  EXPECT_EQ(counter(run.fleet_metrics, "pipeline.executed"), specs.size());
 }
 
 }  // namespace
