@@ -8,9 +8,9 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "runner/encoding.h"
@@ -211,22 +211,25 @@ std::optional<SearchOutcome> decode_search(Reader& in) {
 //   rec <fp_hex> <len>\n            } repeated; <len> payload bytes follow
 //   <payload: encode_outcome bytes> }  the frame line immediately
 //   ...
-//   idx <count>\n                   } footer, present only in SEALED
-//   <fp_hex> <offset> <len>\n × count }  segments (graceful close);
-//   footer <idx_offset>\n           }  <offset> is the PAYLOAD offset
 //
-// The footer's final line lets open() find the index with one tail read; a
-// crashed segment has no footer and is recovered by a sequential scan that
-// stops at the first frame that does not parse or whose payload is short —
-// everything before the tear stays servable.
+// There is no index or footer: open() walks the frames and stops at the
+// first one that does not parse or whose payload is short, so everything
+// before a tear stays servable. Segments of older releases end in an
+// `idx`/`footer` trailer; its first line fails the frame parse, which ends
+// the walk right after the last record.
 
-constexpr const char kPackHeader[] = "asyncrv.cachepack.v1";
+constexpr const char kPackHeader[] = "asyncrv.cachepack.v1\n";
+constexpr std::size_t kPackHeaderLen = sizeof(kPackHeader) - 1;
 constexpr const char kPackSuffix[] = ".cachepack";
 // A single outcome entry is a few hundred bytes; anything claiming more
 // than this is a corrupt frame, not a record.
 constexpr std::uint64_t kMaxRecordLen = 64ULL * 1024 * 1024;
+// Longest well-formed frame line: "rec " + 32 hex + " " + 20 digits + "\n".
+constexpr std::size_t kMaxFrameLine = 4 + 32 + 1 + 20 + 1;
+// open() reads a segment in windows of this many bytes.
+constexpr std::size_t kScanWindow = std::size_t{1} << 20;
 
-std::optional<Fingerprint> parse_fp_hex(const std::string& s) {
+std::optional<Fingerprint> parse_fp_hex(std::string_view s) {
   if (s.size() != 32) return std::nullopt;
   Fingerprint fp;
   for (int i = 0; i < 32; ++i) {
@@ -241,15 +244,26 @@ std::optional<Fingerprint> parse_fp_hex(const std::string& s) {
   return fp;
 }
 
-// "rec <fp_hex> <len>" -> (fp, len); nullopt on any mismatch.
-std::optional<std::pair<Fingerprint, std::uint64_t>> parse_rec_line(
-    const std::string& line) {
-  const auto parts = split(line, ' ');
-  if (parts.size() != 3 || parts[0] != "rec") return std::nullopt;
-  const auto fp = parse_fp_hex(parts[1]);
-  const auto len = parse_u64(parts[2]);
+struct Frame {
+  Fingerprint fp;
+  std::uint64_t len = 0;
+  std::size_t line_len = 0;  ///< frame line bytes, '\n' included
+};
+
+// Parses the frame line "rec <fp_hex> <len>\n" at the start of `s`;
+// nullopt unless the whole line, newline included, is in `s` and well
+// formed with 0 < len <= kMaxRecordLen.
+std::optional<Frame> parse_frame(std::string_view s) {
+  const std::size_t nl = s.substr(0, kMaxFrameLine).find('\n');
+  if (nl == std::string_view::npos || s.substr(0, 4) != "rec ") {
+    return std::nullopt;
+  }
+  const std::string_view line = s.substr(4, nl - 4);
+  if (line.size() < 34 || line[32] != ' ') return std::nullopt;
+  const auto fp = parse_fp_hex(line.substr(0, 32));
+  const auto len = parse_u64(std::string(line.substr(33)));
   if (!fp || !len || *len == 0 || *len > kMaxRecordLen) return std::nullopt;
-  return std::make_pair(*fp, *len);
+  return Frame{*fp, *len, nl + 1};
 }
 
 bool write_all(int fd, const char* p, std::size_t left) {
@@ -263,6 +277,20 @@ bool write_all(int fd, const char* p, std::size_t left) {
     left -= static_cast<std::size_t>(n);
   }
   return true;
+}
+
+// The one writer of the frame format: appends the record `fp` → `payload`
+// to the segment open (O_APPEND) on `fd`, frame line and payload in ONE
+// write so a crash tears at most this record. Returns the frame line's
+// size — the payload starts that many bytes past the segment's old end —
+// or 0 if the write failed (errno set).
+std::size_t append_record(int fd, const Fingerprint& fp,
+                          const std::string& payload) {
+  std::string buf = "rec " + fp.hex() + " " + std::to_string(payload.size());
+  buf += '\n';
+  const std::size_t frame = buf.size();
+  buf += payload;
+  return write_all(fd, buf.data(), buf.size()) ? frame : 0;
 }
 
 // pread exactly `len` bytes at `off`; false on EOF-before-len or error.
@@ -287,6 +315,35 @@ bool fsync_dir(const std::string& dir) {
   const bool ok = ::fsync(dfd) == 0;
   ::close(dfd);
   return ok;
+}
+
+// Creates a fresh segment `seg-<pid>-<n>.cachepack` in `dir` and writes
+// its header. O_EXCL makes the name private to this call, so concurrent
+// processes and cache objects never interleave appends within a file.
+// Returns the O_APPEND fd and sets `path`, or -1 with errno set.
+int create_segment(const std::string& dir, std::string& path) {
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    path = (std::filesystem::path(dir) /
+            ("seg-" + std::to_string(::getpid()) + "-" +
+             std::to_string(attempt) + kPackSuffix))
+               .string();
+    const int fd = ::open(path.c_str(),
+                          O_RDWR | O_CREAT | O_EXCL | O_APPEND | O_CLOEXEC,
+                          0644);
+    if (fd < 0) {
+      if (errno == EEXIST) continue;
+      return -1;
+    }
+    if (!write_all(fd, kPackHeader, kPackHeaderLen)) {
+      const int err = errno;
+      ::close(fd);
+      ::unlink(path.c_str());
+      errno = err;
+      return -1;
+    }
+    return fd;
+  }
+  return -1;  // errno is EEXIST from the last attempt
 }
 
 }  // namespace
@@ -444,14 +501,9 @@ SweepCache::SweepCache(std::string dir, SweepCacheOptions options,
 
 SweepCache::~SweepCache() {
   std::lock_guard<std::mutex> lock(mu_);
-  try {
-    seal_active_locked();
-  } catch (...) {
-    // Destructor must not throw; an unsealed segment still loads by scan.
-  }
-  for (Segment& seg : segments_) {
+  flush_locked();
+  for (const Segment& seg : segments_) {
     if (seg.fd >= 0) ::close(seg.fd);
-    seg.fd = -1;
   }
 }
 
@@ -485,107 +537,43 @@ bool SweepCache::load_one_segment_locked(const std::string& path) const {
     return false;
   }
   const auto file_size = static_cast<std::uint64_t>(st.st_size);
-  const std::string header_line = std::string(kPackHeader) + "\n";
-  {
-    std::string got(header_line.size(), '\0');
-    if (file_size < header_line.size() ||
-        !pread_all(fd, 0, got.data(), got.size()) || got != header_line) {
-      ::close(fd);  // foreign or empty file wearing our suffix — ignore it
-      return false;
-    }
+  // The segment is read in kScanWindow windows; a new one starts at the
+  // next frame whenever that frame's line might cross the current
+  // window's end. Payloads are skipped by offset, never parsed.
+  std::string window;
+  std::uint64_t window_off = 0;
+  const auto fill = [&](std::uint64_t off) {
+    window.resize(static_cast<std::size_t>(
+        std::min<std::uint64_t>(kScanWindow, file_size - off)));
+    window_off = off;
+    return pread_all(fd, off, window.data(), window.size());
+  };
+  if (!fill(0) || !std::string_view(window).starts_with(kPackHeader)) {
+    ::close(fd);  // foreign or empty file wearing our suffix — ignore it
+    return false;
   }
   const auto seg_index = static_cast<std::uint32_t>(segments_.size());
-  std::vector<std::pair<Fingerprint, Loc>> records;
-
-  // Fast path: a sealed segment names its index in the final line.
-  bool loaded = false;
-  do {
-    const std::uint64_t tail_window = std::min<std::uint64_t>(file_size, 64);
-    std::string tail(tail_window, '\0');
-    if (!pread_all(fd, file_size - tail_window, tail.data(), tail.size())) break;
-    if (tail.empty() || tail.back() != '\n') break;
-    const auto prev_nl = tail.find_last_of('\n', tail.size() - 2);
-    const std::string last_line =
-        prev_nl == std::string::npos && tail_window == file_size
-            ? tail.substr(0, tail.size() - 1)
-            : prev_nl == std::string::npos
-                  ? std::string()  // footer line longer than the window: no
-                  : tail.substr(prev_nl + 1, tail.size() - prev_nl - 2);
-    const auto parts = split(last_line, ' ');
-    if (parts.size() != 2 || parts[0] != "footer") break;
-    const auto idx_offset = parse_u64(parts[1]);
-    if (!idx_offset || *idx_offset >= file_size ||
-        *idx_offset < header_line.size()) {
+  std::uint64_t records = 0;
+  for (std::uint64_t pos = kPackHeaderLen; pos < file_size;) {
+    const std::uint64_t window_end = window_off + window.size();
+    if (window_end < file_size && pos + kMaxFrameLine > window_end &&
+        !fill(pos)) {
       break;
     }
-    std::string idx_region(file_size - *idx_offset, '\0');
-    if (!pread_all(fd, *idx_offset, idx_region.data(), idx_region.size())) break;
-    Reader in(idx_region);
-    const auto count = in.line();
-    if (!count) break;
-    const auto count_parts = split(*count, ' ');
-    if (count_parts.size() != 2 || count_parts[0] != "idx") break;
-    const auto n = parse_u64(count_parts[1]);
-    if (!n || *n > file_size) break;  // each idx line costs > 1 byte
-    bool ok = true;
-    records.reserve(*n);
-    for (std::uint64_t i = 0; i < *n; ++i) {
-      const auto line = in.line();
-      if (!line) { ok = false; break; }
-      const auto f = split(*line, ' ');
-      if (f.size() != 3) { ok = false; break; }
-      const auto fp = parse_fp_hex(f[0]);
-      const auto off = parse_u64(f[1]);
-      const auto len = parse_u64(f[2]);
-      if (!fp || !off || !len || *len == 0 || *len > kMaxRecordLen ||
-          *off + *len > *idx_offset) {
-        ok = false;
-        break;
-      }
-      records.emplace_back(
-          *fp, Loc{seg_index, *off, static_cast<std::uint32_t>(*len)});
-    }
-    if (!ok) { records.clear(); break; }
-    const auto footer_check = in.line();
-    if (!footer_check || *footer_check != last_line || in.line()) {
-      records.clear();
-      break;
-    }
-    loaded = true;
-  } while (false);
-
-  if (!loaded) {
-    // Scan path: walk the frames of an unsealed (crashed) or footer-damaged
-    // segment, keeping every record before the first byte that fails to
-    // parse — the contract that truncation only costs the torn tail.
-    records.clear();
-    std::ifstream in(path, std::ios::binary);
-    in.seekg(static_cast<std::streamoff>(header_line.size()));
-    std::string line;
-    while (in && std::getline(in, line)) {
-      const auto rec = parse_rec_line(line);
-      if (!rec) break;  // idx line, torn frame, or garbage: stop here
-      const auto payload_off = static_cast<std::uint64_t>(in.tellg());
-      in.seekg(static_cast<std::streamoff>(rec->second), std::ios::cur);
-      // A record counts only if its payload is fully present: peek past it.
-      if (!in || in.peek() == std::char_traits<char>::eof()) {
-        if (payload_off + rec->second == file_size) {
-          records.emplace_back(rec->first,
-                               Loc{seg_index, payload_off,
-                                   static_cast<std::uint32_t>(rec->second)});
-        }
-        break;
-      }
-      records.emplace_back(rec->first,
-                           Loc{seg_index, payload_off,
-                               static_cast<std::uint32_t>(rec->second)});
-    }
+    const auto frame =
+        parse_frame(std::string_view(window).substr(pos - window_off));
+    if (!frame) break;  // legacy idx line, torn frame, or garbage: stop here
+    const std::uint64_t payload_off = pos + frame->line_len;
+    if (payload_off + frame->len > file_size) break;  // torn payload
+    index_[frame->fp] = Loc{seg_index, payload_off,
+                            static_cast<std::uint32_t>(frame->len)};
+    ++records;
+    pos = payload_off + frame->len;
   }
 
   segments_.push_back(Segment{path, fd});
-  for (const auto& [fp, loc] : records) index_[fp] = loc;
   sc_in().segments.add(1);
-  sc_in().pack_records.add(records.size());
+  sc_in().pack_records.add(records);
   return true;
 }
 
@@ -624,37 +612,17 @@ void SweepCache::fail_locked(bool fsync) const {
 bool SweepCache::ensure_active_locked() const {
   if (active_broken_) return false;
   if (active_segment_ >= 0) return true;
-  // One segment per cache object (pid + attempt counter makes the name
-  // unique under O_EXCL), so concurrent processes sharing the directory
-  // never interleave appends within a file.
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    const std::string name = "seg-" + std::to_string(::getpid()) + "-" +
-                             std::to_string(attempt) + kPackSuffix;
-    const std::string path = (std::filesystem::path(dir_) / name).string();
-    const int fd = ::open(path.c_str(),
-                          O_RDWR | O_CREAT | O_EXCL | O_APPEND | O_CLOEXEC,
-                          0644);
-    if (fd < 0) {
-      if (errno == EEXIST) continue;
-      fail_locked(/*fsync=*/false);
-      return false;
-    }
-    const std::string header_line = std::string(kPackHeader) + "\n";
-    if (!write_all(fd, header_line.data(), header_line.size())) {
-      fail_locked(/*fsync=*/false);
-      ::close(fd);
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-      return false;
-    }
-    active_segment_ = static_cast<std::int32_t>(segments_.size());
-    segments_.push_back(Segment{path, fd});
-    active_offset_ = header_line.size();
-    sc_in().segments.add(1);
-    return true;
+  std::string path;
+  const int fd = create_segment(dir_, path);
+  if (fd < 0) {
+    fail_locked(/*fsync=*/false);
+    return false;
   }
-  fail_locked(/*fsync=*/false);  // errno is EEXIST from the last attempt
-  return false;
+  active_segment_ = static_cast<std::int32_t>(segments_.size());
+  segments_.push_back(Segment{path, fd});
+  active_offset_ = kPackHeaderLen;
+  sc_in().segments.add(1);
+  return true;
 }
 
 void SweepCache::store(const ExperimentSpec& spec,
@@ -662,25 +630,21 @@ void SweepCache::store(const ExperimentSpec& spec,
   try {
     const Fingerprint fp = spec.fingerprint();
     const std::string bytes = encode_outcome(spec, outcome, format_version_);
-    // Frame + payload in ONE write so a crash tears at most the tail record.
-    const std::string buf = "rec " + fp.hex() + " " +
-                            std::to_string(bytes.size()) + "\n" + bytes;
     std::lock_guard<std::mutex> lock(mu_);
     if (!ensure_active_locked()) return;
     const int fd = segments_[static_cast<std::size_t>(active_segment_)].fd;
-    if (!write_all(fd, buf.data(), buf.size())) {
+    const std::size_t frame = append_record(fd, fp, bytes);
+    if (frame == 0) {
       // A half-written tail is unrecoverable through this fd's bookkeeping;
       // stop appending (readers degrade the tear to misses) but keep
       // serving.
       fail_locked(/*fsync=*/false);
       return;
     }
-    const Loc loc{static_cast<std::uint32_t>(active_segment_),
-                  active_offset_ + (buf.size() - bytes.size()),
-                  static_cast<std::uint32_t>(bytes.size())};
-    active_offset_ += buf.size();
-    index_[fp] = loc;
-    active_records_.emplace_back(fp, loc);
+    index_[fp] = Loc{static_cast<std::uint32_t>(active_segment_),
+                     active_offset_ + frame,
+                     static_cast<std::uint32_t>(bytes.size())};
+    active_offset_ += frame + bytes.size();
     ++pending_records_;
     sc_in().stores.add(1);
     sc_in().store_bytes.add(bytes.size());
@@ -713,101 +677,43 @@ void SweepCache::flush_locked() const {
   }
 }
 
-void SweepCache::seal_active_locked() const {
-  flush_locked();
-  if (active_segment_ < 0 || active_broken_) {
-    active_segment_ = -1;
-    active_records_.clear();
-    pending_records_ = 0;
-    active_broken_ = false;
-    return;
-  }
-  const int fd = segments_[static_cast<std::size_t>(active_segment_)].fd;
-  std::ostringstream os;
-  os << "idx " << active_records_.size() << '\n';
-  for (const auto& [fp, loc] : active_records_) {
-    os << fp.hex() << ' ' << loc.offset << ' ' << loc.length << '\n';
-  }
-  os << "footer " << active_offset_ << '\n';
-  const std::string footer = os.str();
-  if (!write_all(fd, footer.data(), footer.size())) {
-    fail_locked(/*fsync=*/false);
-  } else if (::fsync(fd) != 0) {
-    fail_locked(/*fsync=*/true);
-  } else {
-    sc_in().fsyncs.add(1);
-  }
-  active_segment_ = -1;
-  active_offset_ = 0;
-  active_records_.clear();
-  pending_records_ = 0;
-  active_broken_ = false;
-}
-
 SweepCache::CompactStats SweepCache::compact() const {
   std::lock_guard<std::mutex> lock(mu_);
-  CompactStats cs;
   try {
-    seal_active_locked();
-
-    if (segments_.empty()) return cs;
-    std::vector<std::pair<Fingerprint, std::string>> merged;
-    merged.reserve(index_.size());
-    for (const auto& [fp, loc] : index_) {
-      std::string bytes(loc.length, '\0');
-      const int fd = segments_[loc.segment].fd;
-      if (fd < 0 || !pread_all(fd, loc.offset, bytes.data(), bytes.size())) {
-        continue;
-      }
-      merged.emplace_back(fp, std::move(bytes));
-    }
-
+    if (segments_.empty()) return {};
     // Deterministic output order: fingerprint-sorted.
-    std::sort(merged.begin(), merged.end(),
+    std::vector<std::pair<Fingerprint, Loc>> order(index_.begin(),
+                                                   index_.end());
+    std::sort(order.begin(), order.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
 
-    // Write the replacement segment fully — sealed and fsync'd — BEFORE
-    // deleting anything, so a crash at any point leaves every record
-    // readable from either the old files or the new one.
+    // Write the replacement segment fully and fsync it BEFORE deleting
+    // anything, so a crash at any point leaves every record readable from
+    // either the old files or the new one.
     std::string new_path;
-    int fd = -1;
-    for (int attempt = 0; attempt < 1000 && fd < 0; ++attempt) {
-      const std::string name = "seg-" + std::to_string(::getpid()) + "-c" +
-                               std::to_string(attempt) + kPackSuffix;
-      const std::string candidate =
-          (std::filesystem::path(dir_) / name).string();
-      fd = ::open(candidate.c_str(),
-                  O_RDWR | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-      if (fd >= 0) new_path = candidate;
-      else if (errno != EEXIST) return cs;
-    }
-    if (fd < 0) return cs;
-    std::ostringstream os;
-    os << kPackHeader << '\n';
-    std::vector<std::pair<Fingerprint, Loc>> locs;
-    locs.reserve(merged.size());
-    for (const auto& [fp, bytes] : merged) {
-      os << "rec " << fp.hex() << ' ' << bytes.size() << '\n';
-      const auto frame_end = static_cast<std::uint64_t>(os.tellp());
-      os << bytes;
-      locs.emplace_back(
-          fp, Loc{0, frame_end, static_cast<std::uint32_t>(bytes.size())});
+    const int fd = create_segment(dir_, new_path);
+    if (fd < 0) return {};
+    CompactStats cs;
+    bool ok = true;
+    std::string bytes;
+    for (const auto& [fp, loc] : order) {
+      bytes.resize(loc.length);
+      if (!pread_all(segments_[loc.segment].fd, loc.offset, bytes.data(),
+                     bytes.size())) {
+        continue;
+      }
+      if (append_record(fd, fp, bytes) == 0) {
+        ok = false;
+        break;
+      }
       ++cs.records;
       cs.bytes += bytes.size();
     }
-    const auto idx_offset = static_cast<std::uint64_t>(os.tellp());
-    os << "idx " << locs.size() << '\n';
-    for (const auto& [fp, loc] : locs) {
-      os << fp.hex() << ' ' << loc.offset << ' ' << loc.length << '\n';
-    }
-    os << "footer " << idx_offset << '\n';
-    const std::string blob = os.str();
-    const bool ok = write_all(fd, blob.data(), blob.size()) && ::fsync(fd) == 0;
+    ok = ok && ::fsync(fd) == 0;
     ::close(fd);
     if (!ok) {
-      std::error_code ec;
-      std::filesystem::remove(new_path, ec);
-      return cs;
+      ::unlink(new_path.c_str());
+      return {};
     }
     sc_in().fsyncs.add(1);
     if (fsync_dir(dir_)) sc_in().fsyncs.add(1);
@@ -822,18 +728,19 @@ SweepCache::CompactStats SweepCache::compact() const {
     }
     if (fsync_dir(dir_)) sc_in().fsyncs.add(1);
 
-    // Reload from disk: exactly one sealed segment now.
+    // Reload from disk: exactly one segment now. Records still pending in
+    // the old active segment are durable in the new one.
     segments_.clear();
     index_.clear();
     active_segment_ = -1;
     active_offset_ = 0;
-    active_records_.clear();
     pending_records_ = 0;
+    active_broken_ = false;
     load_segments_locked();
+    return cs;
   } catch (const std::exception&) {
-    // Best-effort like every other cache path.
+    return {};  // best-effort like every other cache path
   }
-  return cs;
 }
 
 }  // namespace asyncrv::runner

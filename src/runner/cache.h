@@ -12,11 +12,10 @@
 // `asyncrv.cachepack.v1`, DESIGN.md §10): framed entries, fsynced once
 // per group-commit flush() instead of once per cell, one private segment
 // per cache object so concurrent processes never interleave appends. A
-// gracefully closed segment is sealed with a footer index so reopening
-// seeks straight to the index; a segment cut short by a crash (no footer,
-// torn tail) is recovered by a sequential scan that keeps every record
-// before the first damaged byte — corruption degrades to misses for the
-// torn tail only.
+// segment has no index: open() walks its frames in large buffered reads
+// and keeps every record before the first damaged byte, so a segment cut
+// short by a crash (torn tail) loads like a closed one — corruption
+// degrades to misses for the torn tail only.
 //
 // Pack segments are the only representation read. A `*.outcome` file —
 // the one-file-per-cell layout of older releases — is ignored: its cell is
@@ -102,8 +101,8 @@ class SweepCache {
                       std::uint32_t format_version = kFormatVersion)
       : SweepCache(std::move(dir), SweepCacheOptions{}, format_version) {}
 
-  /// Flushes and seals this cache's own segment (writes the footer index
-  /// so the next open loads it without a scan).
+  /// Flushes this cache's own segment (group commit of the pending tail)
+  /// and closes every segment.
   ~SweepCache();
   SweepCache(const SweepCache&) = delete;
   SweepCache& operator=(const SweepCache&) = delete;
@@ -131,11 +130,13 @@ class SweepCache {
   // that wants one object's figures reads registry deltas across its life.
 
   /// Offline compaction (`rv_cli cache pack`): rewrites every readable
-  /// record of every pack segment into ONE fresh sealed segment, then
-  /// deletes the superseded segments (any other file is left alone). Safe
-  /// against crashes (the new segment is fsynced before anything is
-  /// deleted); NOT safe against concurrent writers of the same directory
-  /// — compact quiesced caches only. Returns what was merged.
+  /// record of every pack segment into ONE fresh segment, in fingerprint
+  /// order and through the same append path as store(), then deletes the
+  /// superseded segments (any other file is left alone). Safe against
+  /// crashes (the new segment and the directory are fsynced before anything
+  /// is deleted; on failure nothing is); NOT safe against concurrent
+  /// writers of the same directory — compact quiesced caches only. Returns
+  /// what was merged (all zero on failure).
   struct CompactStats {
     std::uint64_t records = 0;        ///< records in the new segment
     std::uint64_t bytes = 0;          ///< payload bytes in the new segment
@@ -162,7 +163,6 @@ class SweepCache {
   void load_segments_locked() const;
   bool load_one_segment_locked(const std::string& path) const;
   bool ensure_active_locked() const;
-  void seal_active_locked() const;
   void flush_locked() const;
   void fail_locked(bool fsync) const;
 
@@ -175,7 +175,6 @@ class SweepCache {
   mutable std::unordered_map<Fingerprint, Loc, FpHash> index_;
   mutable std::int32_t active_segment_ = -1;  ///< index into segments_
   mutable std::uint64_t active_offset_ = 0;
-  mutable std::vector<std::pair<Fingerprint, Loc>> active_records_;
   mutable std::uint64_t pending_records_ = 0;  ///< appended since last fsync
   mutable bool active_broken_ = false;  ///< append/fsync failed; stop packing
   mutable bool warned_ = false;  ///< the one stderr warning was printed

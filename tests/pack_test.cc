@@ -1,8 +1,10 @@
 // The packed sweep-cache store (asyncrv.cachepack.v1, DESIGN.md §10):
-// append/seal/reopen round-trips, the footer fast path vs the scan
-// fallback, torn-tail recovery (corruption degrades to misses only past
-// the last valid record), stray pre-pack `*.outcome` files, offline
-// compaction, multi-process append discipline, and store failures.
+// append/close/reopen round-trips, the one frame scan that loads every
+// segment (a cut at any offset serves exactly the whole records before it;
+// segments larger than one read window; the `idx`/`footer` trailer of older
+// releases ends the scan), torn-tail healing, stray pre-pack `*.outcome`
+// files, offline compaction, multi-process append discipline, and store
+// failures.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -27,6 +29,9 @@ namespace asyncrv {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Every segment's first line.
+const std::string kHeader = "asyncrv.cachepack.v1\n";
 
 std::string fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(testing::TempDir()) / ("asyncrv_" + name);
@@ -62,13 +67,41 @@ std::vector<std::string> segment_paths(const std::string& dir) {
   return out;
 }
 
-/// Payload-region size of a sealed segment — the idx_offset its footer
-/// line records. Fails the test on a malformed footer.
-std::size_t sealed_payload_end(const std::string& segment_bytes) {
-  const auto at = segment_bytes.rfind("footer ");
-  EXPECT_NE(at, std::string::npos);
-  return static_cast<std::size_t>(
-      std::stoull(segment_bytes.substr(at + 7)));
+/// The end offset of every whole record in `segment_bytes`, in file order:
+/// a plain walk over the `rec <fp> <len>` frames that stops at the first
+/// line that is not one or at a short payload.
+std::vector<std::size_t> record_ends(const std::string& segment_bytes) {
+  std::vector<std::size_t> ends;
+  std::size_t pos = kHeader.size();
+  while (pos < segment_bytes.size() &&
+         segment_bytes.compare(pos, 4, "rec ") == 0) {
+    const std::size_t nl = segment_bytes.find('\n', pos);
+    if (nl == std::string::npos) break;
+    const std::size_t end =
+        nl + 1 + std::stoull(segment_bytes.substr(pos + 4 + 33, nl - pos - 37));
+    if (end > segment_bytes.size()) break;
+    ends.push_back(end);
+    pos = end;
+  }
+  return ends;
+}
+
+/// The `idx`/`footer` trailer that older releases appended to a segment on
+/// close: one `<fp> <payload offset> <len>` line per record, then the
+/// offset of the `idx` line.
+std::string legacy_trailer(const std::string& segment_bytes) {
+  std::ostringstream idx;
+  std::size_t count = 0;
+  std::size_t pos = kHeader.size();
+  for (const std::size_t end : record_ends(segment_bytes)) {
+    const std::size_t nl = segment_bytes.find('\n', pos);
+    idx << segment_bytes.substr(pos + 4, 32) << ' ' << nl + 1 << ' '
+        << end - (nl + 1) << '\n';
+    ++count;
+    pos = end;
+  }
+  return "idx " + std::to_string(count) + "\n" + idx.str() + "footer " +
+         std::to_string(segment_bytes.size()) + "\n";
 }
 
 /// The registry counter `sweepcache.<name>`, the cache's only tally; tests
@@ -78,7 +111,7 @@ std::uint64_t cache_counter(const std::string& name) {
 }
 
 /// Populates `dir` with the outcomes of `specs` through one packed cache
-/// object (sealed on return).
+/// object (flushed and closed on return).
 void populate_packed(const std::string& dir,
                      const std::vector<runner::ExperimentSpec>& specs) {
   const runner::SweepCache cache(dir);
@@ -98,12 +131,16 @@ TEST(Pack, StoreSealReopenServesEveryRecord) {
   const auto specs = runner::scale_grid(24);
   populate_packed(dir, specs);
 
-  // One sealed segment on disk, ending in a footer index.
+  // One segment on disk: the header, then exactly one frame per record —
+  // no index or footer after the last one.
   const auto segs = segment_paths(dir);
   ASSERT_EQ(segs.size(), 1u);
   const std::string bytes = read_file(segs[0]);
   EXPECT_EQ(bytes.rfind("asyncrv.cachepack.v1\n", 0), 0u);
-  EXPECT_NE(bytes.rfind("footer "), std::string::npos);
+  EXPECT_EQ(bytes.find("\nfooter "), std::string::npos);
+  const auto ends = record_ends(bytes);
+  ASSERT_EQ(ends.size(), specs.size());
+  EXPECT_EQ(ends.back(), bytes.size());
 
   const std::uint64_t segments0 = cache_counter("segments");
   const std::uint64_t records0 = cache_counter("pack_records");
@@ -173,24 +210,6 @@ TEST(Pack, WarmPipelineRunExecutesNothing) {
   }
 }
 
-TEST(Pack, CorruptedFooterFallsBackToScan) {
-  const std::string dir = fresh_dir("pack_badfooter");
-  const auto specs = runner::scale_grid(16);
-  populate_packed(dir, specs);
-  const auto segs = segment_paths(dir);
-  ASSERT_EQ(segs.size(), 1u);
-
-  // Garble the footer line: the fast path must reject it and the scan
-  // must still recover every record (they all precede the index block).
-  std::string bytes = read_file(segs[0]);
-  const auto at = bytes.rfind("footer ");
-  ASSERT_NE(at, std::string::npos);
-  bytes.replace(at, 7, "fooper ");
-  write_file(segs[0], bytes);
-
-  EXPECT_EQ(count_hits(dir, specs), specs.size());
-}
-
 TEST(Pack, TruncationMidRecordKeepsThePrefixAndHeals) {
   const std::string dir = fresh_dir("pack_torn");
   const auto specs = runner::scale_grid(20);
@@ -198,13 +217,12 @@ TEST(Pack, TruncationMidRecordKeepsThePrefixAndHeals) {
   const auto segs = segment_paths(dir);
   ASSERT_EQ(segs.size(), 1u);
 
-  // Cut the file mid-way through the LAST record's payload (and drop the
-  // footer with it) — the unsealed-crash shape. The scan must keep every
-  // record before the torn byte and miss only the tail.
+  // Cut the file mid-way through the LAST record's payload — the crash
+  // shape. The scan must keep every record before the torn byte and miss
+  // only the tail.
   const std::string bytes = read_file(segs[0]);
-  const std::size_t payload_end = sealed_payload_end(bytes);
-  ASSERT_GT(payload_end, 10u);
-  write_file(segs[0], bytes.substr(0, payload_end - 10));
+  ASSERT_GT(bytes.size(), 10u);
+  write_file(segs[0], bytes.substr(0, bytes.size() - 10));
 
   EXPECT_EQ(count_hits(dir, specs), specs.size() - 1);
 
@@ -221,6 +239,118 @@ TEST(Pack, TruncationMidRecordKeepsThePrefixAndHeals) {
     EXPECT_EQ(report.executed, 1u);
   }
   EXPECT_EQ(count_hits(dir, specs), specs.size());
+}
+
+TEST(Pack, EveryTruncationOffsetServesExactlyTheWholeRecords) {
+  // A crash may cut a segment anywhere. At every offset from the empty
+  // file to the full size, a reopen serves exactly the records whose
+  // payload fits — never an error, never a partial record. A file shorter
+  // than the header line is not a segment at all.
+  const std::string dir = fresh_dir("pack_every_cut");
+  const auto specs = runner::scale_grid(3);
+  populate_packed(dir, specs);
+  const auto segs = segment_paths(dir);
+  ASSERT_EQ(segs.size(), 1u);
+  const std::string bytes = read_file(segs[0]);
+  const auto ends = record_ends(bytes);
+  ASSERT_EQ(ends.size(), specs.size());
+  ASSERT_EQ(ends.back(), bytes.size());
+
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    write_file(segs[0], bytes.substr(0, cut));
+    const auto whole = static_cast<std::uint64_t>(
+        std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin());
+    const std::uint64_t segments0 = cache_counter("segments");
+    const std::uint64_t records0 = cache_counter("pack_records");
+    const runner::SweepCache cache(dir);
+    ASSERT_EQ(cache_counter("segments") - segments0,
+              cut >= kHeader.size() ? 1u : 0u)
+        << "cut " << cut;
+    ASSERT_EQ(cache_counter("pack_records") - records0, whole) << "cut " << cut;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      ASSERT_EQ(cache.lookup(specs[i]).has_value(), i < whole)
+          << "cut " << cut << ", record " << i;
+    }
+  }
+}
+
+TEST(Pack, LegacySealedSegmentServesEveryRecord) {
+  // Segments written by older releases end in an `idx`/`footer` trailer.
+  // Its first line is not a frame, so the scan stops right after the last
+  // record: every record serves, whole, garbled or cut at any offset.
+  const std::string dir = fresh_dir("pack_legacy");
+  const auto specs = runner::scale_grid(16);
+  populate_packed(dir, specs);
+  const auto segs = segment_paths(dir);
+  ASSERT_EQ(segs.size(), 1u);
+  const std::string records = read_file(segs[0]);
+  const std::string trailer = legacy_trailer(records);
+  ASSERT_EQ(trailer.rfind("idx 16\n", 0), 0u);
+
+  write_file(segs[0], records + trailer);
+  EXPECT_EQ(count_hits(dir, specs), specs.size());
+  std::string garbled = trailer;
+  garbled.replace(garbled.rfind("footer "), 7, "fooper ");
+  write_file(segs[0], records + garbled);
+  EXPECT_EQ(count_hits(dir, specs), specs.size());
+  for (std::size_t cut = 0; cut < trailer.size(); ++cut) {
+    write_file(segs[0], records + trailer.substr(0, cut));
+    ASSERT_EQ(count_hits(dir, specs), specs.size()) << "trailer cut " << cut;
+  }
+}
+
+TEST(Pack, SegmentLargerThanOneReadWindowLoadsInFull) {
+  // open() reads a segment in 1 MiB windows. A ~2 MB segment reopens in
+  // full, and a cut inside the second window keeps exactly the prefix.
+  const std::string dir = fresh_dir("pack_big");
+  const auto specs = runner::scale_grid(5000);
+  {
+    const runner::SweepCache cache(dir);
+    runner::PipelineOptions popts;
+    popts.threads = 1;
+    popts.cache = &cache;
+    runner::ExperimentPipeline(popts).run(specs);
+  }
+  const auto segs = segment_paths(dir);
+  ASSERT_EQ(segs.size(), 1u);
+  const std::size_t window = std::size_t{1} << 20;
+  const std::string bytes = read_file(segs[0]);
+  ASSERT_GT(bytes.size(), window + window / 2);
+  const auto ends = record_ends(bytes);
+  ASSERT_EQ(ends.size(), specs.size());
+  EXPECT_EQ(count_hits(dir, specs), specs.size());
+
+  for (const std::size_t cut : {window - 1, window, window + 1, window + 40,
+                                window + (window >> 1), bytes.size() - 1}) {
+    write_file(segs[0], bytes.substr(0, cut));
+    const auto whole = static_cast<std::uint64_t>(
+        std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin());
+    EXPECT_EQ(count_hits(dir, specs), whole) << "cut " << cut;
+  }
+}
+
+TEST(Pack, FrameLinesAcrossAReadWindowBoundaryParse) {
+  // One large record pushes the next frame line across the 1 MiB window
+  // boundary; sliding its length moves the line over the boundary byte by
+  // byte, and every record after it still serves.
+  const std::string dir = fresh_dir("pack_straddle");
+  const auto specs = runner::scale_grid(4);
+  populate_packed(dir, specs);
+  const auto segs = segment_paths(dir);
+  ASSERT_EQ(segs.size(), 1u);
+  const std::string records = read_file(segs[0]).substr(kHeader.size());
+  const std::string filler_frame =
+      "rec 00000000000000000000000000000000 1048500\n";
+  const std::size_t window = std::size_t{1} << 20;
+  for (std::size_t shift = 0; shift <= 64; ++shift) {
+    const std::size_t len =
+        window - kHeader.size() - filler_frame.size() - 48 + shift;
+    const std::string filler = "rec 00000000000000000000000000000000 " +
+                               std::to_string(len) + "\n" +
+                               std::string(len, 'x');
+    write_file(segs[0], kHeader + filler + records);
+    ASSERT_EQ(count_hits(dir, specs), specs.size()) << "shift " << shift;
+  }
 }
 
 TEST(Pack, StrayLooseFileIsIgnored) {
@@ -274,12 +404,24 @@ TEST(Pack, CompactMergesSegments) {
   EXPECT_EQ(cs.records, specs.size());
   EXPECT_EQ(cs.segments_merged, 2u);
 
-  // One sealed segment remains next to the untouched foreign file; every
-  // record still serves — through the same (post-compact) cache object and
-  // through a fresh open.
+  // One segment remains next to the untouched foreign file, its records in
+  // fingerprint order with no footer after them; every record still serves
+  // — through the same (post-compact) cache object and through a fresh
+  // open.
   const auto segs = segment_paths(dir);
   ASSERT_EQ(segs.size(), 1u);
-  EXPECT_NE(read_file(segs[0]).rfind("footer "), std::string::npos);
+  const std::string bytes = read_file(segs[0]);
+  EXPECT_EQ(bytes.find("\nfooter "), std::string::npos);
+  const auto ends = record_ends(bytes);
+  ASSERT_EQ(ends.size(), specs.size());
+  EXPECT_EQ(ends.back(), bytes.size());
+  std::vector<std::string> fps;
+  std::size_t pos = kHeader.size();
+  for (const std::size_t end : ends) {
+    fps.push_back(bytes.substr(pos + 4, 32));
+    pos = end;
+  }
+  EXPECT_TRUE(std::is_sorted(fps.begin(), fps.end()));
   EXPECT_EQ(read_file(dir + "/0123456789abcdef0123456789abcdef.outcome"),
             "garbage");
   for (const auto& spec : specs) EXPECT_TRUE(cache.lookup(spec).has_value());

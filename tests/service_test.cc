@@ -176,6 +176,37 @@ TEST(Service, RunStreamsTheExactJsonlRow) {
   EXPECT_EQ(streamed, local_jsonl({spec}));
 }
 
+TEST(Service, RunStreamsExactSglAndSearchRows) {
+  // The daemon validates every kind through spec_from_canonical: an SGL
+  // RUN and a search RUN each stream the row a local run renders.
+  service::ServerOptions opts;
+  opts.socket_path = socket_path("kinds");
+  Daemon daemon(opts);
+
+  runner::SglSpec sgl;
+  sgl.graph = "edge";
+  sgl.labels = {3, 7};
+  runner::SearchSpec search;
+  search.graph = "ring:4";
+  search.evaluations = 5;
+  search.budget = 100'000;
+  service::Client client;
+  ASSERT_TRUE(client.connect(opts.socket_path));
+  for (const runner::ExperimentSpec& spec :
+       {runner::ExperimentSpec{.name = "", .scenario = sgl},
+        runner::ExperimentSpec{.name = "", .scenario = search}}) {
+    std::string streamed;
+    const auto stats = client.run(spec, [&](const std::string& row) {
+      streamed += row;
+      streamed += "\n";
+    });
+    ASSERT_TRUE(stats.has_value()) << client.last_error();
+    EXPECT_EQ(stats->executed, 1u);
+    EXPECT_EQ(stats->errors, 0u);
+    EXPECT_EQ(streamed, local_jsonl({spec}));
+  }
+}
+
 TEST(Service, EightConcurrentClientsStreamByteIdenticalOverlappingSweeps) {
   // THE acceptance scenario: 8 clients submit overlapping 10-spec windows
   // of a 24-cell grid against one daemon (shared sweep cache, shared graph

@@ -101,7 +101,7 @@ TEST(Shard, InProcessWorkerExecutesColdAndServesWarm) {
   EXPECT_EQ(cold.executed, plan[1].size());
   EXPECT_EQ(cold.hits, 0u);
   EXPECT_GT(cold.store_bytes, 0u);
-  EXPECT_EQ(cold.fsyncs, 2u) << "the pipeline's closing flush and the seal";
+  EXPECT_EQ(cold.fsyncs, 1u) << "the pipeline's closing flush only";
 
   const auto warm = runner::run_shard(specs, plan[1], wopts);
   EXPECT_EQ(warm.hits, plan[1].size());

@@ -226,6 +226,48 @@ TEST(Spec, GoldenFingerprints) {
             "4e934bfb4a1b8ec575a04ea7b5406962");
 }
 
+TEST(Spec, CanonicalFormParsesBackToTheSameFingerprint) {
+  // spec_from_canonical is the daemon's only validation path for every
+  // kind: the parse of a canonical form must re-render to the same bytes.
+  runner::ExperimentSpec full_rv = rv_spec();
+  auto& rv = std::get<runner::RendezvousSpec>(full_rv.scenario);
+  rv.graph = "grid:3x4@77";
+  rv.algo = runner::RouteAlgo::Baseline;
+  rv.starts = {0, 11};
+  rv.record_schedule = true;
+
+  SglAgentSpec awake;
+  awake.start = 2;
+  awake.label = 9;
+  awake.value = "a:b,c%d\ne";
+  SglAgentSpec dormant;
+  dormant.start = 4;
+  dormant.label = 3;
+  dormant.value = "";
+  dormant.initially_awake = false;
+  dormant.wake_after_units = 1'000;
+  runner::SglSpec team;
+  team.graph = "ring:6";
+  team.team = {awake, dormant};
+  team.robust_phase3 = false;
+  const runner::ExperimentSpec sgl_team{.name = "", .scenario = team};
+
+  for (const runner::ExperimentSpec& spec :
+       {rv_spec(), full_rv, sgl_spec(), sgl_team, search_spec()}) {
+    const auto parsed = runner::spec_from_canonical(spec.canonical());
+    ASSERT_TRUE(parsed.has_value()) << spec.canonical();
+    EXPECT_EQ(parsed->kind(), spec.kind());
+    EXPECT_EQ(parsed->canonical(), spec.canonical());
+    EXPECT_EQ(parsed->fingerprint(), spec.fingerprint());
+  }
+  const auto parsed_team = runner::spec_from_canonical(sgl_team.canonical());
+  ASSERT_TRUE(parsed_team.has_value());
+  ASSERT_EQ(parsed_team->sgl()->team.size(), 2u);
+  EXPECT_EQ(parsed_team->sgl()->team[0].value, "a:b,c%d\ne");
+  EXPECT_FALSE(parsed_team->sgl()->team[1].initially_awake);
+  EXPECT_EQ(parsed_team->sgl()->team[1].wake_after_units, 1'000u);
+}
+
 TEST(Spec, DisplayMatchesLegacyFormat) {
   EXPECT_EQ(rv_spec().display(), "ring:6 fair L5/L12");
   runner::ExperimentSpec named = rv_spec();
