@@ -29,13 +29,13 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_rev.h"
 #include "graph/builders.h"
 #include "runner/pipeline.h"
 #include "runner/registry.h"
 #include "rv/rv_route.h"
 #include "sim/adversary.h"
 #include "sim/engine.h"
-#include "sim/two_agent.h"
 #include "traj/traj.h"
 #include "util/prng.h"
 
@@ -150,10 +150,10 @@ BenchResult bench_halt2(const std::string& graph_name, const Graph& g,
     sim::SimEngine eng(g, sim::MeetingPolicy::Halt);
     eng.set_reference_scan(reference);
     const Node sb = g.size() - 1;
-    eng.add_agent({make_walker_route(
+    eng.add_agent({sim::make_walker_route(
                        g, 0, [&](Walker& w) { return rv_route(w, kit, 9, nullptr); }),
                    0, true, sim::EndPolicy::Sticky});
-    eng.add_agent({make_walker_route(
+    eng.add_agent({sim::make_walker_route(
                        g, sb,
                        [&](Walker& w) { return rv_route(w, kit, 14, nullptr); }),
                    sb, true, sim::EndPolicy::Sticky});
@@ -326,41 +326,6 @@ bool print_result(const BenchResult& r, const std::vector<BenchResult>& all) {
   return r.items_per_sec > 0.0;
 }
 
-std::string git_rev() {
-  if (const char* sha = std::getenv("GITHUB_SHA")) return sha;
-  std::string rev = "unknown";
-  if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buf[64] = {0};
-    if (fgets(buf, sizeof(buf), p) != nullptr) {
-      rev.assign(buf);
-      while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
-        rev.pop_back();
-      }
-      if (rev.empty()) rev = "unknown";
-    }
-    pclose(p);
-  }
-  return rev;
-}
-
-/// The git_rev recorded in an existing baseline JSON, or "" if the file
-/// is absent/unparseable. Used to warn when a tracked baseline (e.g.
-/// BENCH_engine.json) was generated at a different commit than HEAD —
-/// comparing numbers across revs silently is how stale baselines hide
-/// regressions.
-std::string baseline_rev(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return "";
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const std::string key = "\"git_rev\": \"";
-  const auto at = text.find(key);
-  if (at == std::string::npos) return "";
-  const auto end = text.find('"', at + key.size());
-  if (end == std::string::npos) return "";
-  return text.substr(at + key.size(), end - (at + key.size()));
-}
-
 void write_json(const std::string& path, const std::string& rev,
                 const std::vector<BenchResult>& results) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -461,14 +426,9 @@ int main(int argc, char** argv) {
     if (!print_result(r, results)) ok = false;
   }
 
-  const std::string rev = git_rev();
+  const std::string rev = bench::git_rev();
   if (!json_path.empty()) {
-    const std::string prior = baseline_rev(json_path);
-    if (!prior.empty() && prior != rev && rev != "unknown") {
-      std::cerr << "warning: " << json_path << " was generated at git_rev "
-                << prior << " but HEAD is " << rev
-                << " — regenerate the tracked baseline before comparing\n";
-    }
+    bench::warn_if_stale(json_path, rev);
     write_json(json_path, rev, results);
     std::printf("\nwrote %s (git_rev %s)\n", json_path.c_str(), rev.c_str());
   }

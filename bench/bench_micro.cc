@@ -7,7 +7,7 @@
 #include "graph/builders.h"
 #include "rv/rv_route.h"
 #include "sim/adversary.h"
-#include "sim/two_agent.h"
+#include "sim/engine.h"
 #include "traj/traj.h"
 
 namespace asyncrv {
@@ -64,20 +64,22 @@ void BM_DeepTrajectoryGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_DeepTrajectoryGeneration);
 
-void BM_TwoAgentSimulation(benchmark::State& state) {
+void BM_RendezvousRun(benchmark::State& state) {
   const Graph g = make_ring(8);
   const TrajKit kit(PPoly::tiny(), 1);
   for (auto _ : state) {
-    auto ra = make_walker_route(
-        g, 0, [&](Walker& w) { return rv_route(w, kit, 9, nullptr); });
-    auto rb = make_walker_route(
-        g, 4, [&](Walker& w) { return rv_route(w, kit, 14, nullptr); });
-    TwoAgentSim sim(g, ra, 0, rb, 4);
+    sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+    engine.add_agent({sim::make_walker_route(
+                          g, 0, [&](Walker& w) { return rv_route(w, kit, 9, nullptr); }),
+                      0});
+    engine.add_agent({sim::make_walker_route(
+                          g, 4, [&](Walker& w) { return rv_route(w, kit, 14, nullptr); }),
+                      4});
     auto adv = make_random_adversary(7, 500);
-    benchmark::DoNotOptimize(sim.run(*adv, 1'000'000));
+    benchmark::DoNotOptimize(sim::run_rendezvous(engine, *adv, 1'000'000));
   }
 }
-BENCHMARK(BM_TwoAgentSimulation);
+BENCHMARK(BM_RendezvousRun);
 
 void BM_LengthCalculus(benchmark::State& state) {
   for (auto _ : state) {

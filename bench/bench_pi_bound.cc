@@ -13,7 +13,7 @@
 #include "traj/lengths_approx.h"
 #include "rv/rv_route.h"
 #include "sim/adversary.h"
-#include "sim/two_agent.h"
+#include "sim/engine.h"
 
 int main() {
   using namespace asyncrv;
@@ -21,7 +21,6 @@ int main() {
                 "faithful Pi (log10) vs calibrated Pi-hat vs measured worst");
 
   const TrajKit kit(PPoly::tiny(), 0x5eed0001);
-  const LengthCalculus& c = kit.lengths();
   const CalibratedPi pi_hat;
 
   std::cout << "log10 Pi(n, m) (tiny profile):\n";
@@ -44,12 +43,15 @@ int main() {
     const Graph g = make_ring(n);
     std::uint64_t worst = 0;
     for (auto& adv : adversary_battery(0xE10)) {
-      auto ra = make_walker_route(
-          g, 0, [&](Walker& w) { return rv_route(w, kit, 5, nullptr); });
-      auto rb = make_walker_route(
-          g, n / 2, [&](Walker& w) { return rv_route(w, kit, 27, nullptr); });
-      TwoAgentSim sim(g, ra, 0, rb, n / 2);
-      const RendezvousResult res = sim.run(*adv, 40'000'000);
+      sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+      engine.add_agent({sim::make_walker_route(
+                            g, 0, [&](Walker& w) { return rv_route(w, kit, 5, nullptr); }),
+                        0});
+      engine.add_agent({sim::make_walker_route(
+                            g, n / 2,
+                            [&](Walker& w) { return rv_route(w, kit, 27, nullptr); }),
+                        n / 2});
+      const RendezvousResult res = sim::run_rendezvous(engine, *adv, 40'000'000);
       if (res.met && res.cost() > worst) worst = res.cost();
     }
     const std::uint64_t hat = pi_hat(n, 3);

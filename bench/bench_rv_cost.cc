@@ -31,10 +31,10 @@ int main(int argc, char** argv) {
   // {0, n/2} — the historical harness placement and battery seeds.
   const std::vector<Node> sizes = {Node{4}, Node{6}, Node{8}, Node{12}};
   for (Node n : sizes) {
-    for (const std::string& family : {"ring", "path"}) {
+    for (const char* family : {"ring", "path"}) {
       for (const std::string& adv : adversary_battery_names()) {
         runner::RendezvousSpec rv;
-        rv.graph = family + ":" + std::to_string(n);
+        rv.graph = std::string(family) + ":" + std::to_string(n);
         rv.adversary = adv;
         rv.labels = {6, 17};
         rv.starts = {0, n / 2};

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_rev.h"
 #include "runner/graph_cache.h"
 #include "runner/outcome.h"
 #include "runner/registry.h"
@@ -79,23 +80,6 @@ std::uint64_t catalog_best(const runner::SearchSpec& search,
     if (out.cost > best) best = out.cost;
   }
   return best;
-}
-
-std::string git_rev() {
-  if (const char* sha = std::getenv("GITHUB_SHA")) return sha;
-  std::string rev = "unknown";
-  if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buf[64] = {0};
-    if (fgets(buf, sizeof(buf), p) != nullptr) {
-      rev.assign(buf);
-      while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
-        rev.pop_back();
-      }
-      if (rev.empty()) rev = "unknown";
-    }
-    pclose(p);
-  }
-  return rev;
 }
 
 void write_json(const std::string& path, const std::string& rev,
@@ -292,7 +276,7 @@ int main(int argc, char** argv) {
                     : "note: some cells did not beat the catalog at this "
                       "evaluation budget\n");
 
-  if (!json_path.empty()) write_json(json_path, git_rev(), results);
+  if (!json_path.empty()) write_json(json_path, bench::git_rev(), results);
 
   for (const BenchResult& r : results) {
     if (r.items_per_sec <= 0.0) {

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_rev.h"
 #include "runner/cache.h"
 #include "runner/pipeline.h"
 #include "runner/registry.h"
@@ -67,40 +68,6 @@ LaneResult finish(std::string scenario, std::uint64_t cells, double seconds,
 
 double elapsed_seconds(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// The git_rev recorded in an existing baseline JSON, or "" if the file
-/// is absent/unparseable — same stale-baseline guard bench_engine_hot
-/// applies to BENCH_engine.json: comparing numbers across revs silently
-/// is how stale baselines hide regressions.
-std::string baseline_rev(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return "";
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const std::string key = "\"git_rev\": \"";
-  const auto at = text.find(key);
-  if (at == std::string::npos) return "";
-  const auto end = text.find('"', at + key.size());
-  if (end == std::string::npos) return "";
-  return text.substr(at + key.size(), end - (at + key.size()));
-}
-
-std::string git_rev() {
-  if (const char* sha = std::getenv("GITHUB_SHA")) return sha;
-  std::string rev = "unknown";
-  if (FILE* p = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buf[64] = {0};
-    if (fgets(buf, sizeof(buf), p) != nullptr) {
-      rev.assign(buf);
-      while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r')) {
-        rev.pop_back();
-      }
-      if (rev.empty()) rev = "unknown";
-    }
-    pclose(p);
-  }
-  return rev;
 }
 
 void write_json(const std::string& path, const std::string& rev,
@@ -247,14 +214,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string rev = git_rev();
+  const std::string rev = bench::git_rev();
   if (!json_path.empty()) {
-    const std::string prior = baseline_rev(json_path);
-    if (!prior.empty() && prior != rev && rev != "unknown") {
-      std::cerr << "warning: " << json_path << " was generated at git_rev "
-                << prior << " but HEAD is " << rev
-                << " — regenerate the tracked baseline before comparing\n";
-    }
+    bench::warn_if_stale(json_path, rev);
     write_json(json_path, rev, results);
     std::printf("wrote %s (git_rev %s)\n", json_path.c_str(), rev.c_str());
   }

@@ -128,11 +128,11 @@ sim::MoveSource rendezvous_route(const Graph& g, const TrajKit& kit,
                                  std::uint64_t label) {
   if (spec.algo == RouteAlgo::Baseline) {
     const std::uint64_t n = g.size();
-    return make_walker_route(g, start, [&kit, n, label](Walker& w) {
+    return sim::make_walker_route(g, start, [&kit, n, label](Walker& w) {
       return baseline_route(w, kit, n, label);
     });
   }
-  return make_walker_route(g, start, [&kit, label](Walker& w) {
+  return sim::make_walker_route(g, start, [&kit, label](Walker& w) {
     return rv_route(w, kit, label, nullptr);
   });
 }

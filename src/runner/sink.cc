@@ -31,7 +31,10 @@ std::string csv_escape(const std::string& s) {
 /// JSON literal for a value (numbers/bools bare, strings quoted+escaped).
 std::string json_value(const Value& v) {
   if (const auto* s = std::get_if<std::string>(&v)) {
-    return "\"" + json_escape(*s) + "\"";
+    std::string out = "\"";
+    out += json_escape(*s);
+    out += '"';
+    return out;
   }
   if (const auto* b = std::get_if<bool>(&v)) return *b ? "true" : "false";
   return render_value(v);
@@ -164,17 +167,7 @@ void JsonlSink::row(const Row& row) { *os_ << jsonl_line(schema_, row); }
 
 void JsonlSink::end() { os_->flush(); }
 
-// --- TeeSink / CollectorSink ------------------------------------------------
-
-void TeeSink::begin(const Schema& schema) {
-  for (ResultSink* s : children_) s->begin(schema);
-}
-void TeeSink::row(const Row& row) {
-  for (ResultSink* s : children_) s->row(row);
-}
-void TeeSink::end() {
-  for (ResultSink* s : children_) s->end();
-}
+// --- CollectorSink ----------------------------------------------------------
 
 void CollectorSink::begin(const Schema& schema) {
   tables_.push_back({schema, {}});

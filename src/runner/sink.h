@@ -10,8 +10,10 @@
 //  * CsvSink       — RFC-4180-style CSV with a header row;
 //  * JsonlSink     — one JSON object per row (the machine interchange and
 //                    cache-verification format: byte-stable for equal rows);
-//  * TeeSink       — fans one emission out to several sinks;
 //  * CollectorSink — in-memory schema+rows, for tests and programmatic use.
+//
+// To send one sweep to several sinks, list them all in
+// PipelineOptions::sinks; the pipeline fans each emission out itself.
 //
 // A sink may receive several tables over its lifetime (begin/rows/end per
 // table) — e.g. a sweep table followed by aggregate rollups. The free
@@ -108,20 +110,6 @@ class JsonlSink final : public ResultSink {
   std::ofstream file_;
   std::ostream* os_;
   Schema schema_;
-};
-
-/// Forwards every call to each child, in order. Non-owning.
-class TeeSink final : public ResultSink {
- public:
-  explicit TeeSink(std::vector<ResultSink*> children)
-      : children_(std::move(children)) {}
-
-  void begin(const Schema& schema) override;
-  void row(const Row& row) override;
-  void end() override;
-
- private:
-  std::vector<ResultSink*> children_;
 };
 
 /// Captures everything in memory; `tables` holds one (schema, rows) entry

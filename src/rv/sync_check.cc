@@ -12,13 +12,15 @@ SyncCheckResult run_sync_check(const Graph& g, const TrajKit& kit, Node sa,
                                Adversary& adv, std::uint64_t budget) {
   auto prog_a = std::make_shared<RvProgress>();
   auto prog_b = std::make_shared<RvProgress>();
-  auto route_a = make_walker_route(g, sa, [&kit, la, prog_a](Walker& w) {
+  auto route_a = sim::make_walker_route(g, sa, [&kit, la, prog_a](Walker& w) {
     return rv_route(w, kit, la, prog_a.get());
   });
-  auto route_b = make_walker_route(g, sb, [&kit, lb, prog_b](Walker& w) {
+  auto route_b = sim::make_walker_route(g, sb, [&kit, lb, prog_b](Walker& w) {
     return rv_route(w, kit, lb, prog_b.get());
   });
-  TwoAgentSim sim(g, route_a, sa, route_b, sb);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({std::move(route_a), sa});
+  engine.add_agent({std::move(route_b), sb});
 
   const std::uint64_t n = g.size();
   const std::uint64_t l = 2 * static_cast<std::uint64_t>(std::min(
@@ -31,13 +33,15 @@ SyncCheckResult run_sync_check(const Graph& g, const TrajKit& kit, Node sa,
   SyncCheckResult res;
   std::uint64_t steps = 0;
   const std::uint64_t max_steps = 16 * budget + (1u << 20);
-  while (!sim.met()) {
-    if (sim.charged_traversals(0) + sim.charged_traversals(1) >= budget ||
+  while (!engine.met()) {
+    if (engine.charged_traversals(0) + engine.charged_traversals(1) >= budget ||
         ++steps > max_steps) {
       break;
     }
-    const AdvStep step = adv.next(sim);
-    sim.advance(step.agent, step.delta);
+    const AdvStep step = adv.next(engine);
+    // SimEngine only DCHECKs the index; a bad adversary must fail loudly.
+    ASYNCRV_CHECK(step.agent == 0 || step.agent == 1);
+    engine.advance(step.agent, step.delta);
     // Interlock check (both directions): completing fence number
     // allowance + i implies the other completed piece i+1, i.e.
     // fences_x <= allowance + pieces_y (shifted by one piece).
@@ -58,12 +62,12 @@ SyncCheckResult run_sync_check(const Graph& g, const TrajKit& kit, Node sa,
       res.violation = os.str();
     }
   }
-  res.met = sim.met();
+  res.met = engine.met();
   res.fences_a = prog_a->fences_completed;
   res.fences_b = prog_b->fences_completed;
   res.pieces_a = prog_a->pieces_completed;
   res.pieces_b = prog_b->pieces_completed;
-  res.cost = sim.charged_traversals(0) + sim.charged_traversals(1);
+  res.cost = engine.charged_traversals(0) + engine.charged_traversals(1);
   return res;
 }
 

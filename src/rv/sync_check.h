@@ -24,7 +24,7 @@
 
 #include "rv/rv_route.h"
 #include "sim/adversary.h"
-#include "sim/two_agent.h"
+#include "sim/engine.h"
 
 namespace asyncrv {
 

@@ -8,7 +8,7 @@
 #include "rv/label.h"
 #include "rv/pi_bound.h"
 #include "rv/rv_route.h"
-#include "sim/two_agent.h"
+#include "sim/engine.h"
 
 namespace asyncrv::search {
 
@@ -69,11 +69,11 @@ Evaluation evaluate_rendezvous(const Problem& p, const ScheduleGenome& genome,
   for (int i = 0; i < 2; ++i) {
     const auto idx = static_cast<std::size_t>(i);
     const std::uint64_t label = p.labels[idx];
-    engine.add_agent({make_walker_route(g, p.starts[idx],
-                                        [&p, label](Walker& w) {
-                                          return rv_route(w, *p.kit, label,
-                                                          nullptr);
-                                        }),
+    engine.add_agent({sim::make_walker_route(g, p.starts[idx],
+                                             [&p, label](Walker& w) {
+                                               return rv_route(w, *p.kit, label,
+                                                               nullptr);
+                                             }),
                       p.starts[idx], /*awake=*/true, sim::EndPolicy::Sticky});
   }
   std::unique_ptr<Adversary> adv = decode(genome);

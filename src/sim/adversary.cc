@@ -2,11 +2,8 @@
 
 #include "sim/batch_engine.h"  // inline EngineView accessor definitions
 #include "sim/engine.h"
-#include "sim/two_agent.h"
 
 namespace asyncrv {
-
-AdvStep Adversary::next(const TwoAgentSim& sim) { return next(sim.engine()); }
 
 int first_movable(const sim::EngineView& engine, int preferred) {
   const int n = engine.agent_count();

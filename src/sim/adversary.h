@@ -10,8 +10,8 @@
 // either a whole sim::SimEngine or one lane of a sim::BatchEngine — and
 // generalize to any number of agents (AdvStep is an agent index + a signed
 // micro-unit delta), so the same battery drives two-agent rendezvous runs,
-// k-agent engines and batched lockstep lanes alike; for N = 2 every
-// strategy behaves exactly as the historical two-agent battery did.
+// k-agent engines and batched lockstep lanes alike. A SimEngine converts
+// to the view implicitly: callers write `adv.next(engine)`.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,6 @@ class EngineView {
 };
 }  // namespace sim
 
-class TwoAgentSim;
-
 struct AdvStep {
   int agent = 0;
   std::int64_t delta = 0;
@@ -66,8 +64,6 @@ class Adversary {
   /// The next scheduling decision against any engine view with N >= 2
   /// agents (a SimEngine converts implicitly).
   virtual AdvStep next(const sim::EngineView& engine) = 0;
-  /// Legacy convenience: dispatches on the sim's underlying engine.
-  AdvStep next(const TwoAgentSim& sim);
   virtual std::string name() const = 0;
 };
 

@@ -8,6 +8,17 @@
 
 namespace asyncrv::sim {
 
+MoveSource make_walker_route(
+    const Graph& g, Node start,
+    const std::function<Generator<Move>(Walker&)>& make_gen) {
+  auto walker = std::make_shared<Walker>(g, start);
+  auto gen = std::make_shared<Generator<Move>>(make_gen(*walker));
+  return [walker, gen]() -> std::optional<Move> {
+    if (gen->next()) return gen->value();
+    return std::nullopt;
+  };
+}
+
 SimEngine::SimEngine(const Graph& g, MeetingPolicy policy, EventSink* sink,
                      EngineScratch* scratch)
     : g_(&g), policy_(policy), sink_(sink), scratch_(scratch) {

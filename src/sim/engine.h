@@ -5,8 +5,8 @@
 // sweeps, co-location / meeting detection, dormancy and wake events. It is
 // the single implementation behind both of the paper's models:
 //
-//  * the two-agent asynchronous rendezvous of Section 3 (TwoAgentSim is a
-//    thin adapter over a 2-agent Halt-policy engine), and
+//  * the two-agent asynchronous rendezvous of Section 3 (a 2-agent
+//    Halt-policy engine with Sticky routes, driven by run_rendezvous), and
 //  * the k-agent SGL substrate of Section 4 (MultiAgentSim is a thin
 //    adapter over a Continue-policy engine that forwards events to the
 //    per-agent AgentLogic).
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "sim/position.h"
+#include "traj/gen.h"
 #include "traj/walker.h"
 #include "util/inline_vec.h"
 
@@ -56,6 +57,13 @@ namespace sim {
 /// Lazily pulls the next edge traversal of an agent's route. nullopt means
 /// "no move available"; what that implies depends on the agent's EndPolicy.
 using MoveSource = std::function<std::optional<Move>()>;
+
+/// Builds a MoveSource from a walker-driven trajectory generator starting at
+/// `start`. The walker and the generator live inside the returned function;
+/// the factory receives the walker so the caller can build any trajectory.
+MoveSource make_walker_route(
+    const Graph& g, Node start,
+    const std::function<Generator<Move>(Walker&)>& make_gen);
 
 /// What a nullopt pull means for an agent.
 ///  * Sticky: the route is over for good (the rendezvous model — the agent
@@ -249,9 +257,10 @@ class SimEngine {
 
 /// Drives a Halt-policy engine with the adversary until a meeting, until
 /// every route has ended, or until the combined charged-traversal budget of
-/// agents 0 and 1 is exhausted — the run loop shared by TwoAgentSim and the
-/// scenario runner. (RendezvousResult reports agents 0 and 1; extra agents,
-/// if any, still participate in meeting detection.)
+/// agents 0 and 1 is exhausted — the one run loop of every rendezvous run
+/// (scenario cells, search evaluations, tools and tests). (RendezvousResult
+/// reports agents 0 and 1; extra agents, if any, still participate in
+/// meeting detection.)
 ///
 /// `max_steps` bounds the number of adversary decisions (anti-livelock:
 /// endless zero-progress oscillation must terminate as budget_exhausted);

@@ -65,13 +65,4 @@ TraceStats make_trace_stats(const RendezvousResult& result,
   return stats;
 }
 
-TraceStats traced_run(TwoAgentSim& sim, std::unique_ptr<Adversary> adv,
-                      std::uint64_t budget, Schedule* schedule_out) {
-  Schedule local;
-  Schedule* sched = schedule_out != nullptr ? schedule_out : &local;
-  RecordingAdversary rec(std::move(adv), sched);
-  const RendezvousResult result = sim.run(rec, budget);
-  return make_trace_stats(result, *sched);
-}
-
 }  // namespace asyncrv

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "sim/adversary.h"
-#include "sim/two_agent.h"
+#include "sim/engine.h"
 
 namespace asyncrv {
 
@@ -74,14 +74,9 @@ struct TraceStats {
   std::string summary() const;
 };
 
-/// Derives the schedule-shape statistics from a recorded schedule — the
-/// single definition used by traced_run and by tools that record through
-/// the scenario runner (e.g. rv_cli).
+/// Derives the schedule-shape statistics from a run recorded through a
+/// RecordingAdversary (e.g. rv_cli's traced instance).
 TraceStats make_trace_stats(const RendezvousResult& result,
                             const Schedule& schedule);
-
-/// Runs the sim under `adv` while recording; returns stats + the schedule.
-TraceStats traced_run(TwoAgentSim& sim, std::unique_ptr<Adversary> adv,
-                      std::uint64_t budget, Schedule* schedule_out);
 
 }  // namespace asyncrv

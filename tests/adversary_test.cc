@@ -9,12 +9,12 @@
 #include <deque>
 
 #include "graph/builders.h"
-#include "sim/two_agent.h"
+#include "sim/engine.h"
 
 namespace asyncrv {
 namespace {
 
-RouteFn forever_ring(const Graph& g, Node start, Port p) {
+sim::MoveSource forever_ring(const Graph& g, Node start, Port p) {
   auto node = std::make_shared<Node>(start);
   return [&g, node, p]() -> std::optional<Move> {
     const Graph::Half h = g.step(*node, p);
@@ -35,11 +35,13 @@ TEST(Adversary, BatteryNamesMatch) {
 
 TEST(Adversary, FairAlternates) {
   Graph g = make_ring(4);
-  TwoAgentSim sim(g, forever_ring(g, 0, 0), 0, forever_ring(g, 2, 0), 2);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({forever_ring(g, 0, 0), 0});
+  engine.add_agent({forever_ring(g, 2, 0), 2});
   auto adv = make_fair_adversary();
   int last = -1;
   for (int i = 0; i < 10; ++i) {
-    const AdvStep s = adv->next(sim);
+    const AdvStep s = adv->next(engine);
     EXPECT_NE(s.agent, last);
     last = s.agent;
     EXPECT_EQ(s.delta, kEdgeUnits);
@@ -48,34 +50,38 @@ TEST(Adversary, FairAlternates) {
 
 TEST(Adversary, StallFreezesOneAgentInitially) {
   Graph g = make_ring(6);
-  TwoAgentSim sim(g, forever_ring(g, 0, 0), 0, forever_ring(g, 3, 0), 3);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({forever_ring(g, 0, 0), 0});
+  engine.add_agent({forever_ring(g, 3, 0), 3});
   // Threshold 2 keeps the runner away from the stationary agent (walking
   // port 0 from node 3 reaches node 0 only after 3 traversals).
   auto adv = make_stall_adversary(/*stalled_agent=*/0, /*stall_traversals=*/2);
   for (int i = 0; i < 2; ++i) {
-    const AdvStep s = adv->next(sim);
+    const AdvStep s = adv->next(engine);
     EXPECT_EQ(s.agent, 1) << "agent 0 is stalled";
-    sim.advance(s.agent, s.delta);
+    engine.advance(s.agent, s.delta);
   }
-  ASSERT_FALSE(sim.met());
+  ASSERT_FALSE(engine.met());
   // After the runner completed its traversals, both agents get time.
   bool saw_zero = false;
-  for (int i = 0; i < 2 && !sim.met(); ++i) {
-    const AdvStep s = adv->next(sim);
+  for (int i = 0; i < 2 && !engine.met(); ++i) {
+    const AdvStep s = adv->next(engine);
     saw_zero = saw_zero || (s.agent == 0);
-    sim.advance(s.agent, s.delta);
+    engine.advance(s.agent, s.delta);
   }
   EXPECT_TRUE(saw_zero);
 }
 
 TEST(Adversary, RandomIsDeterministicPerSeed) {
   Graph g = make_ring(4);
-  TwoAgentSim sim(g, forever_ring(g, 0, 0), 0, forever_ring(g, 2, 0), 2);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({forever_ring(g, 0, 0), 0});
+  engine.add_agent({forever_ring(g, 2, 0), 2});
   auto a1 = make_random_adversary(123, 500);
   auto a2 = make_random_adversary(123, 500);
   for (int i = 0; i < 32; ++i) {
-    const AdvStep s1 = a1->next(sim);
-    const AdvStep s2 = a2->next(sim);
+    const AdvStep s1 = a1->next(engine);
+    const AdvStep s2 = a2->next(engine);
     EXPECT_EQ(s1.agent, s2.agent);
     EXPECT_EQ(s1.delta, s2.delta);
   }
@@ -83,23 +89,27 @@ TEST(Adversary, RandomIsDeterministicPerSeed) {
 
 TEST(Adversary, BiasedRandomFavorsAgent) {
   Graph g = make_ring(4);
-  TwoAgentSim sim(g, forever_ring(g, 0, 0), 0, forever_ring(g, 2, 0), 2);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({forever_ring(g, 0, 0), 0});
+  engine.add_agent({forever_ring(g, 2, 0), 2});
   auto adv = make_random_adversary(9, 900);
   int zero = 0;
-  for (int i = 0; i < 400; ++i) zero += (adv->next(sim).agent == 0);
+  for (int i = 0; i < 400; ++i) zero += (adv->next(engine).agent == 0);
   EXPECT_GT(zero, 300);
 }
 
 TEST(Adversary, OscillatorEmitsBackwardMoves) {
   Graph g = make_ring(8);
-  TwoAgentSim sim(g, forever_ring(g, 0, 0), 0, forever_ring(g, 4, 0), 4);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({forever_ring(g, 0, 0), 0});
+  engine.add_agent({forever_ring(g, 4, 0), 4});
   auto adv = make_oscillating_adversary(5);
   bool backward = false;
   for (int i = 0; i < 300 && !backward; ++i) {
-    const AdvStep s = adv->next(sim);
+    const AdvStep s = adv->next(engine);
     backward = backward || s.delta < 0;
-    sim.advance(s.agent, s.delta);
-    if (sim.met()) break;
+    engine.advance(s.agent, s.delta);
+    if (engine.met()) break;
   }
   EXPECT_TRUE(backward);
 }
@@ -110,7 +120,7 @@ TEST(Adversary, AvoiderPostponesButCannotPreventForcedMeetings) {
   std::deque<Port> once{0};
   auto route = [&g](Node start) {
     auto st = std::make_shared<std::pair<Node, int>>(start, 1);
-    return RouteFn([&g, st]() -> std::optional<Move> {
+    return sim::MoveSource([&g, st]() -> std::optional<Move> {
       if (st->second == 0) return std::nullopt;
       st->second -= 1;
       const Graph::Half h = g.step(st->first, 0);
@@ -119,38 +129,44 @@ TEST(Adversary, AvoiderPostponesButCannotPreventForcedMeetings) {
       return m;
     });
   };
-  TwoAgentSim sim(g, route(0), 0, route(1), 1);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({route(0), 0});
+  engine.add_agent({route(1), 1});
   auto adv = make_avoider_adversary(3);
-  const RendezvousResult res = sim.run(*adv, 100);
+  const RendezvousResult res = sim::run_rendezvous(engine, *adv, 100);
   EXPECT_TRUE(res.met);
 }
 
 TEST(Adversary, PhaseRunsExclusivePhases) {
   Graph g = make_ring(8);
-  TwoAgentSim sim(g, forever_ring(g, 0, 0), 0, forever_ring(g, 4, 0), 4);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({forever_ring(g, 0, 0), 0});
+  engine.add_agent({forever_ring(g, 4, 0), 4});
   auto adv = make_phase_adversary(11, 16);
   // Count agent switches over many steps: phases mean long same-agent runs,
   // so far fewer switches than steps.
   int switches = 0, last = -1, steps = 0;
-  for (int i = 0; i < 200 && !sim.met(); ++i) {
-    const AdvStep s = adv->next(sim);
+  for (int i = 0; i < 200 && !engine.met(); ++i) {
+    const AdvStep s = adv->next(engine);
     if (last >= 0 && s.agent != last) ++switches;
     last = s.agent;
     ++steps;
-    sim.advance(s.agent, s.delta);
+    engine.advance(s.agent, s.delta);
   }
   EXPECT_LT(switches, steps / 2);
 }
 
 TEST(Adversary, SkewGivesBothAgentsTimeAtDifferentRates) {
   Graph g = make_ring(8);
-  TwoAgentSim sim(g, forever_ring(g, 0, 0), 0, forever_ring(g, 4, 0), 4);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({forever_ring(g, 0, 0), 0});
+  engine.add_agent({forever_ring(g, 4, 0), 4});
   auto adv = make_skew_adversary(3, 16);
   std::int64_t units[2] = {0, 0};
-  for (int i = 0; i < 64 && !sim.met(); ++i) {
-    const AdvStep s = adv->next(sim);
+  for (int i = 0; i < 64 && !engine.met(); ++i) {
+    const AdvStep s = adv->next(engine);
     units[s.agent] += s.delta;
-    sim.advance(s.agent, s.delta);
+    engine.advance(s.agent, s.delta);
   }
   EXPECT_GT(units[0], 0);
   EXPECT_GT(units[1], 0);
@@ -164,11 +180,13 @@ TEST(Adversary, AllStrategiesDriveSimsLegally) {
   // steps, without meeting-independent crashes.
   Graph g = make_ring(6);
   for (auto& adv : adversary_battery(11)) {
-    TwoAgentSim sim(g, forever_ring(g, 0, 0), 0, forever_ring(g, 3, 1), 3);
-    for (int i = 0; i < 500 && !sim.met(); ++i) {
-      const AdvStep s = adv->next(sim);
+    sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+    engine.add_agent({forever_ring(g, 0, 0), 0});
+    engine.add_agent({forever_ring(g, 3, 1), 3});
+    for (int i = 0; i < 500 && !engine.met(); ++i) {
+      const AdvStep s = adv->next(engine);
       ASSERT_TRUE(s.agent == 0 || s.agent == 1) << adv->name();
-      sim.advance(s.agent, s.delta);
+      engine.advance(s.agent, s.delta);
     }
   }
 }

@@ -1,7 +1,9 @@
 // Cross-engine equivalence: every two-agent scenario (each Adversary in the
 // battery × each catalog graph) must produce the identical RendezvousResult
-// through the legacy TwoAgentSim API and through a hand-driven
-// sim::SimEngine. Both are additionally pinned against kGoldenPreRefactor —
+// through the production run loop (sim::run_rendezvous; its results fill the
+// `legacy_*` tables, named for the two-agent API that once wrapped it) and
+// through an independent hand-driven loop over sim::SimEngine. Both are
+// additionally pinned against kGoldenPreRefactor —
 // the exact results captured from the PRE-refactor two-agent simulator
 // (seed commit, duplicated-sweep implementation) for the same scenarios —
 // so faithfulness of the engine extraction is falsifiable, not circular.
@@ -13,7 +15,6 @@
 #include "rv/rv_route.h"
 #include "sim/adversary.h"
 #include "sim/engine.h"
-#include "sim/two_agent.h"
 #include "traj/traj.h"
 
 namespace asyncrv {
@@ -203,8 +204,8 @@ TrajKit& kit() {
   return k;
 }
 
-RouteFn route(const Graph& g, Node start, std::uint64_t label) {
-  return make_walker_route(
+sim::MoveSource route(const Graph& g, Node start, std::uint64_t label) {
+  return sim::make_walker_route(
       g, start, [label](Walker& w) { return rv_route(w, kit(), label, nullptr); });
 }
 
@@ -218,11 +219,13 @@ std::string golden_line(const std::string& graph_name, const std::string& adv,
   return os.str();
 }
 
-/// The scenario through the legacy two-agent API.
-RendezvousResult run_legacy(const Graph& g, Adversary& adv) {
+/// The scenario through the production run loop.
+RendezvousResult run_production(const Graph& g, Adversary& adv) {
   const Node sb = g.size() - 1;
-  TwoAgentSim sim(g, route(g, 0, kLabelA), 0, route(g, sb, kLabelB), sb);
-  return sim.run(adv, kBudget);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({route(g, 0, kLabelA), 0});
+  engine.add_agent({route(g, sb, kLabelB), sb});
+  return sim::run_rendezvous(engine, adv, kBudget);
 }
 
 /// The same scenario driven directly against a SimEngine, with a run loop
@@ -263,7 +266,7 @@ TEST(EngineEquivalence, EveryAdversaryOnEveryCatalogGraph) {
     auto engine_advs = adversary_battery(kBatterySeed);
     const auto names = adversary_battery_names();
     for (std::size_t i = 0; i < legacy_advs.size(); ++i) {
-      const RendezvousResult a = run_legacy(g, *legacy_advs[i]);
+      const RendezvousResult a = run_production(g, *legacy_advs[i]);
       const RendezvousResult b = run_engine(g, *engine_advs[i]);
       const std::string ctx = name + " / " + names[i];
       EXPECT_EQ(a.met, b.met) << ctx;
@@ -289,7 +292,7 @@ TEST(EngineEquivalence, ScriptedBackwardMotionMatches) {
     const Graph g = small_catalog()[4].graph;  // ring/n4
     auto adv_a = make_oscillating_adversary(seed);
     auto adv_b = make_oscillating_adversary(seed);
-    const RendezvousResult a = run_legacy(g, *adv_a);
+    const RendezvousResult a = run_production(g, *adv_a);
     const RendezvousResult b = run_engine(g, *adv_b);
     EXPECT_EQ(a.met, b.met) << seed;
     EXPECT_EQ(a.traversals_a, b.traversals_a) << seed;

@@ -243,8 +243,10 @@ TEST(GraphCache, PipelineFallsBackToRunLocalCache) {
     rv.seed = i;
     specs.push_back({.name = "", .scenario = std::move(rv)});
   }
+  runner::PipelineOptions options;
+  options.threads = 2;
   const runner::PipelineReport report =
-      runner::ExperimentPipeline({.threads = 2}).run(std::move(specs));
+      runner::ExperimentPipeline(options).run(std::move(specs));
   EXPECT_EQ(report.totals.errored, 0u);
   EXPECT_EQ(report.graph_stats.builds, 1u);
   EXPECT_EQ(report.graph_stats.hits, 5u);

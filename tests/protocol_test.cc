@@ -139,7 +139,7 @@ TEST(Protocol, WrongVersionTagIsRejectedAndTheConnectionSurvives) {
 TEST(Protocol, UnknownVerbsAndMalformedArgumentsAreBadRequests) {
   RequestParser parser;
   const std::string v = service::kProtoVersion;
-  for (const std::string bad :
+  for (const std::string& bad :
        {v + " FROBNICATE\n", v + "\n", v + " PING extra-arg\n",
         v + " RUN\n", v + " EVICT not-a-number\n", v + " EVICT -3\n",
         v + " SEARCH\n", v + " SEARCH ring:6 bad-objective\n",
@@ -160,7 +160,7 @@ TEST(Protocol, BadEscapesAndNonCanonicalSpecsAreBadSpecs) {
   RequestParser parser;
   const std::string v = service::kProtoVersion;
   const std::string good = runner::percent_escape(rv_spec().canonical());
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string("%zz"), std::string("%"), std::string("%2"),
         good + "%",                      // trailing malformed escape
         good + "trailing-bytes",         // valid prefix, junk suffix
@@ -177,7 +177,7 @@ TEST(Protocol, BadEscapesAndNonCanonicalSpecsAreBadSpecs) {
   // must never run something whose fingerprint differs from its text.
   std::string canonical = rv_spec().canonical();
   const std::string reordered = "seed=42\n" + canonical;
-  for (const std::string text : {canonical + "x", reordered}) {
+  for (const std::string& text : {canonical + "x", reordered}) {
     const auto events =
         pump(parser, v + " RUN " + runner::percent_escape(text) + "\n");
     ASSERT_EQ(events.size(), 1u);

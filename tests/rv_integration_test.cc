@@ -13,7 +13,7 @@
 #include "rv/pi_bound.h"
 #include "rv/rv_route.h"
 #include "sim/adversary.h"
-#include "sim/two_agent.h"
+#include "sim/engine.h"
 
 namespace asyncrv {
 namespace {
@@ -25,12 +25,14 @@ TrajKit& kit() {
 
 RendezvousResult run_rv(const Graph& g, Node sa, std::uint64_t la, Node sb,
                         std::uint64_t lb, Adversary& adv, std::uint64_t budget) {
-  auto route_a = make_walker_route(
+  auto route_a = sim::make_walker_route(
       g, sa, [la](Walker& w) { return rv_route(w, kit(), la, nullptr); });
-  auto route_b = make_walker_route(
+  auto route_b = sim::make_walker_route(
       g, sb, [lb](Walker& w) { return rv_route(w, kit(), lb, nullptr); });
-  TwoAgentSim sim(g, route_a, sa, route_b, sb);
-  return sim.run(adv, budget);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({route_a, sa});
+  engine.add_agent({route_b, sb});
+  return sim::run_rendezvous(engine, adv, budget);
 }
 
 struct RvCase {
@@ -197,13 +199,15 @@ TEST(RvIntegration, BaselineMeetsButCostsMore) {
   // for a label where the gap already shows.
   Graph g = make_ring(4);
   const std::uint64_t la = 3, lb = 5;
-  auto route_a = make_walker_route(
+  auto route_a = sim::make_walker_route(
       g, 0, [&](Walker& w) { return baseline_route(w, kit(), g.size(), la); });
-  auto route_b = make_walker_route(
+  auto route_b = sim::make_walker_route(
       g, 2, [&](Walker& w) { return baseline_route(w, kit(), g.size(), lb); });
-  TwoAgentSim sim(g, route_a, 0, route_b, 2);
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({route_a, 0});
+  engine.add_agent({route_b, 2});
   auto adv = make_stall_adversary(1, std::uint64_t{1} << 62);  // freeze b: worst case for naive
-  const RendezvousResult res = sim.run(*adv, 50'000'000);
+  const RendezvousResult res = sim::run_rendezvous(engine, *adv, 50'000'000);
   EXPECT_TRUE(res.met);
 }
 
@@ -227,15 +231,17 @@ TEST(RvIntegration, DistinctLabelsAreEssential) {
     ASSERT_EQ(sym.step(v, 0).to, (v + 1) % 4) << "symmetric numbering";
   }
   const std::uint64_t same_label = 6;
-  auto ra = make_walker_route(sym, 0, [&](Walker& w) {
+  auto ra = sim::make_walker_route(sym, 0, [&](Walker& w) {
     return rv_route(w, kit(), same_label, nullptr);
   });
-  auto rb = make_walker_route(sym, 2, [&](Walker& w) {
+  auto rb = sim::make_walker_route(sym, 2, [&](Walker& w) {
     return rv_route(w, kit(), same_label, nullptr);
   });
-  TwoAgentSim sim(sym, ra, 0, rb, 2);
+  sim::SimEngine engine(sym, sim::MeetingPolicy::Halt);
+  engine.add_agent({ra, 0});
+  engine.add_agent({rb, 2});
   auto adv = make_fair_adversary();  // perfectly synchronized schedule
-  const RendezvousResult res = sim.run(*adv, 200'000);
+  const RendezvousResult res = sim::run_rendezvous(engine, *adv, 200'000);
   EXPECT_FALSE(res.met) << "identical agents stay antipodal forever";
   EXPECT_TRUE(res.budget_exhausted);
 
@@ -246,27 +252,31 @@ TEST(RvIntegration, DistinctLabelsAreEssential) {
   // coincide. Any speed perturbation collapses the symmetry immediately,
   // which is what real asynchrony does; the guarantee itself is
   // schedule-independent (Theorem 3.1).
-  auto rc = make_walker_route(sym, 0, [&](Walker& w) {
+  auto rc = sim::make_walker_route(sym, 0, [&](Walker& w) {
     return rv_route(w, kit(), 6, nullptr);
   });
-  auto rd = make_walker_route(sym, 2, [&](Walker& w) {
+  auto rd = sim::make_walker_route(sym, 2, [&](Walker& w) {
     return rv_route(w, kit(), 9, nullptr);
   });
-  TwoAgentSim sim2(sym, rc, 0, rd, 2);
+  sim::SimEngine engine2(sym, sim::MeetingPolicy::Halt);
+  engine2.add_agent({rc, 0});
+  engine2.add_agent({rd, 2});
   auto adv2 = make_random_adversary(5, 500);
-  EXPECT_TRUE(sim2.run(*adv2, 4'000'000).met);
+  EXPECT_TRUE(sim::run_rendezvous(engine2, *adv2, 4'000'000).met);
 
   // And identical labels ALSO meet once the schedule is perturbed — the
   // impossibility above is specifically the symmetric configuration.
-  auto re = make_walker_route(sym, 0, [&](Walker& w) {
+  auto re = sim::make_walker_route(sym, 0, [&](Walker& w) {
     return rv_route(w, kit(), same_label, nullptr);
   });
-  auto rf = make_walker_route(sym, 2, [&](Walker& w) {
+  auto rf = sim::make_walker_route(sym, 2, [&](Walker& w) {
     return rv_route(w, kit(), same_label, nullptr);
   });
-  TwoAgentSim sim3(sym, re, 0, rf, 2);
+  sim::SimEngine engine3(sym, sim::MeetingPolicy::Halt);
+  engine3.add_agent({re, 0});
+  engine3.add_agent({rf, 2});
   auto adv3 = make_random_adversary(5, 500);
-  EXPECT_TRUE(sim3.run(*adv3, 4'000'000).met);
+  EXPECT_TRUE(sim::run_rendezvous(engine3, *adv3, 4'000'000).met);
 }
 
 TEST(RvIntegration, CostReflectsBothAgents) {

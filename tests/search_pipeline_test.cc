@@ -234,7 +234,7 @@ TEST(SearchPipeline, PiMarginSearchFindsNoViolationOnCertifiedGraphs) {
   // The calibration soundness claim of DESIGN.md §2.2, attacked instead of
   // sampled: even an optimizing adversary stays inside the half-margin on
   // battery graphs.
-  for (const std::string& graph : {"ring:6", "petersen"}) {
+  for (const char* graph : {"ring:6", "petersen"}) {
     runner::ExperimentSpec spec = search_spec(graph, 3, "pi-margin", 120);
     // Budget past pi_hat/2 on both graphs: the assertion must not be
     // vacuously true because violations were out of budget reach.

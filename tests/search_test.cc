@@ -20,7 +20,7 @@
 #include "search/objective.h"
 #include "search/optimizer.h"
 #include "sim/trace.h"
-#include "sim/two_agent.h"
+#include "sim/engine.h"
 #include "traj/traj.h"
 #include "util/prng.h"
 
@@ -107,10 +107,10 @@ HaltRun run_halt(const Graph& g, const search::ScheduleGenome& genome,
   sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
   engine.set_reference_scan(reference_scan);
   const Node sb = g.size() - 1;
-  engine.add_agent({make_walker_route(
+  engine.add_agent({sim::make_walker_route(
                         g, 0, [](Walker& w) { return rv_route(w, kit(), 5, nullptr); }),
                     0, true, sim::EndPolicy::Sticky});
-  engine.add_agent({make_walker_route(
+  engine.add_agent({sim::make_walker_route(
                         g, sb, [](Walker& w) { return rv_route(w, kit(), 12, nullptr); }),
                     sb, true, sim::EndPolicy::Sticky});
   HaltRun run;

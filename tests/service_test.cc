@@ -134,6 +134,37 @@ TEST(Service, PingStatusAndEvictAnswerInline) {
   EXPECT_EQ((*status)["jobs_completed"], "2");
 }
 
+TEST(Service, MetricsSnapshotCountsTheSweepAndAgreesWithStatus) {
+  // METRICS serves the registry STATUS reads: after one SWEEP of N cells
+  // the snapshot holds N streamed rows and the completed-job count STATUS
+  // prints.
+  service::ServerOptions opts;
+  opts.socket_path = socket_path("metrics");
+  Daemon daemon(opts);
+
+  service::Client client;
+  ASSERT_TRUE(client.connect(opts.socket_path));
+  std::vector<runner::ExperimentSpec> specs;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    specs.push_back(rv_spec("ring:5", seed));
+  }
+  const auto stats = client.sweep(specs);
+  ASSERT_TRUE(stats.has_value()) << client.last_error();
+  ASSERT_EQ(stats->scenarios, specs.size());
+
+  const auto snapshot = client.metrics();
+  ASSERT_TRUE(snapshot.has_value()) << client.last_error();
+  const auto& counters = snapshot->counters;
+  ASSERT_EQ(counters.count("daemon.rows_streamed"), 1u);
+  EXPECT_EQ(counters.at("daemon.rows_streamed"), specs.size());
+  ASSERT_EQ(counters.count("daemon.jobs_completed"), 1u);
+  auto status = client.status();
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ((*status)["jobs_completed"], "1");
+  EXPECT_EQ(std::to_string(counters.at("daemon.jobs_completed")),
+            (*status)["jobs_completed"]);
+}
+
 TEST(Service, MalformedFramesLeaveTheConnectionUsable) {
   // The live-server half of the protocol fuzz contract: garbage on a real
   // socket yields `err` lines and the same connection then works.

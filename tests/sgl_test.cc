@@ -42,7 +42,8 @@ std::vector<SglAgentSpec> make_specs(const std::vector<std::uint64_t>& labels) {
     SglAgentSpec s;
     s.start = start++;
     s.label = lab;
-    s.value = "v" + std::to_string(lab);
+    s.value = "v";
+    s.value += std::to_string(lab);
     specs.push_back(s);
   }
   return specs;

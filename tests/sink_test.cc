@@ -72,17 +72,6 @@ TEST(JsonlSink, EmitsOneValidObjectPerRow) {
             "\"ok\":false}\n");
 }
 
-TEST(TeeSink, FansOutToAllChildren) {
-  runner::CollectorSink a, b;
-  runner::TeeSink tee({&a, &b});
-  runner::emit(tee, kSchema, sample_rows());
-  ASSERT_EQ(a.tables().size(), 1u);
-  ASSERT_EQ(b.tables().size(), 1u);
-  EXPECT_EQ(a.last().rows.size(), 2u);
-  EXPECT_EQ(b.last().rows.size(), 2u);
-  EXPECT_EQ(a.last().schema.size(), kSchema.size());
-}
-
 TEST(CollectorSink, KeepsTablesSeparate) {
   runner::CollectorSink sink;
   runner::emit(sink, kSchema, sample_rows());

@@ -16,20 +16,24 @@ TrajKit& kit() {
   return k;
 }
 
-TwoAgentSim make_sim(const Graph& g) {
-  auto ra = make_walker_route(g, 0,
-                              [](Walker& w) { return rv_route(w, kit(), 5, nullptr); });
-  auto rb = make_walker_route(g, 2,
-                              [](Walker& w) { return rv_route(w, kit(), 12, nullptr); });
-  return TwoAgentSim(g, ra, 0, rb, 2);
+/// RV with labels 5 and 12 from nodes 0 and 2 on a Halt engine, driven by
+/// `adv` through the production run loop.
+RendezvousResult run_rv(const Graph& g, Adversary& adv) {
+  sim::SimEngine engine(g, sim::MeetingPolicy::Halt);
+  engine.add_agent({sim::make_walker_route(
+                        g, 0, [](Walker& w) { return rv_route(w, kit(), 5, nullptr); }),
+                    0});
+  engine.add_agent({sim::make_walker_route(
+                        g, 2, [](Walker& w) { return rv_route(w, kit(), 12, nullptr); }),
+                    2});
+  return sim::run_rendezvous(engine, adv, 2'000'000);
 }
 
 TEST(Trace, RecordedRunSummarizes) {
   Graph g = make_ring(5);
-  TwoAgentSim sim = make_sim(g);
   Schedule sched;
-  const TraceStats stats =
-      traced_run(sim, make_oscillating_adversary(3), 2'000'000, &sched);
+  RecordingAdversary rec(make_oscillating_adversary(3), &sched);
+  const TraceStats stats = make_trace_stats(run_rv(g, rec), sched);
   ASSERT_TRUE(stats.result.met);
   EXPECT_EQ(stats.schedule_steps, sched.steps.size());
   EXPECT_EQ(stats.steps_agent_a + stats.steps_agent_b, stats.schedule_steps);
@@ -42,14 +46,13 @@ TEST(Trace, ReplayReproducesOutcomeExactly) {
   Schedule sched;
   RendezvousResult original;
   {
-    TwoAgentSim sim = make_sim(g);
-    original = traced_run(sim, make_random_adversary(77, 500), 2'000'000, &sched).result;
+    RecordingAdversary rec(make_random_adversary(77, 500), &sched);
+    original = run_rv(g, rec);
     ASSERT_TRUE(original.met);
   }
   {
-    TwoAgentSim sim = make_sim(g);
     ReplayAdversary replay(sched);
-    const RendezvousResult replayed = sim.run(replay, 2'000'000);
+    const RendezvousResult replayed = run_rv(g, replay);
     EXPECT_TRUE(replayed.met);
     EXPECT_EQ(replayed.meeting_point, original.meeting_point);
     EXPECT_EQ(replayed.traversals_a, original.traversals_a);
@@ -82,9 +85,8 @@ TEST(Trace, ReplayFallsBackAfterLogEnds) {
   Graph g = make_ring(5);
   Schedule tiny;
   tiny.steps = {{0, kEdgeUnits / 2}};
-  TwoAgentSim sim = make_sim(g);
   ReplayAdversary replay(tiny);
-  const RendezvousResult res = sim.run(replay, 2'000'000);
+  const RendezvousResult res = run_rv(g, replay);
   EXPECT_TRUE(res.met);
 }
 
