@@ -9,7 +9,6 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <sstream>
 #include <string_view>
 
 #include "obs/metrics.h"
@@ -42,26 +41,20 @@ SweepCacheInstruments& sc_in() {
   return in;
 }
 
-std::string version_header(std::uint32_t format_version) {
-  return "asyncrv.cache.v" + std::to_string(format_version);
-}
+// A record's first line is kVersionPrefix followed by the format version.
+constexpr const char kVersionPrefix[] = "asyncrv.cache.v";
 
-void encode_pos(std::ostream& os, const Pos& p) {
+void encode_pos(std::string& out, const Pos& p) {
   if (p.kind == Pos::Kind::Node) {
-    os << "meeting=node:" << p.node << '\n';
+    out += "meeting=node:";
+    append_decimal(out, p.node);
   } else {
-    os << "meeting=edge:" << p.eid << ':' << p.off << '\n';
+    out += "meeting=edge:";
+    append_decimal(out, p.eid);
+    out += ':';
+    append_decimal(out, p.off);
   }
-}
-
-template <typename T>
-void encode_list(std::ostream& os, const char* key, const std::vector<T>& v) {
-  os << key << '=';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) os << ',';
-    os << static_cast<std::uint64_t>(v[i]);
-  }
-  os << '\n';
+  out += '\n';
 }
 
 // The strict line-oriented reader lives in runner/encoding.h (LineReader),
@@ -286,7 +279,12 @@ bool write_all(int fd, const char* p, std::size_t left) {
 // or 0 if the write failed (errno set).
 std::size_t append_record(int fd, const Fingerprint& fp,
                           const std::string& payload) {
-  std::string buf = "rec " + fp.hex() + " " + std::to_string(payload.size());
+  std::string buf;
+  buf.reserve(kMaxFrameLine + payload.size());
+  buf += "rec ";
+  buf += fp.hex();
+  buf += ' ';
+  append_decimal(buf, payload.size());
   buf += '\n';
   const std::size_t frame = buf.size();
   buf += payload;
@@ -346,100 +344,97 @@ int create_segment(const std::string& dir, std::string& path) {
   return -1;  // errno is EEXIST from the last attempt
 }
 
-}  // namespace
-
-std::string encode_outcome(const ExperimentSpec& spec,
-                           const ExperimentOutcome& outcome,
-                           std::uint32_t format_version) {
-  const std::string canonical = spec.canonical();
-  std::ostringstream os;
-  os << version_header(format_version) << '\n';
-  os << "spec-bytes=" << canonical.size() << '\n';
-  os << canonical;  // ends with '\n' by construction
-  os << "status="
-     << (outcome.status == RunStatus::Ok
-             ? "ok"
-             : outcome.status == RunStatus::Unresolved ? "unresolved" : "error")
-     << '\n';
-  os << "budget_exhausted=" << (outcome.budget_exhausted ? 1 : 0) << '\n';
-  os << "cost=" << outcome.cost << '\n';
-  os << "error=" << percent_escape(outcome.error) << '\n';
+// The record of `outcome` for the spec whose canonical form is `canonical`
+// (encode_outcome's bytes), built by appends into one buffer.
+std::string encode_record(std::string_view canonical,
+                          const ExperimentOutcome& outcome,
+                          std::uint32_t format_version) {
+  std::string out;
+  out.reserve(canonical.size() + 256);
+  out += kVersionPrefix;
+  append_decimal(out, format_version);
+  out += '\n';
+  append_u64_field(out, "spec-bytes", canonical.size());
+  out += canonical;  // ends with '\n' by construction
+  out += outcome.status == RunStatus::Ok           ? "status=ok\n"
+         : outcome.status == RunStatus::Unresolved ? "status=unresolved\n"
+                                                   : "status=error\n";
+  append_u64_field(out, "budget_exhausted", outcome.budget_exhausted ? 1 : 0);
+  append_u64_field(out, "cost", outcome.cost);
+  append_escaped_field(out, "error", outcome.error);
   if (const RendezvousOutcome* rv = outcome.rendezvous()) {
-    os << "kind=rendezvous\n";
-    os << "met=" << (rv->result.met ? 1 : 0) << '\n';
-    encode_pos(os, rv->result.meeting_point);
-    os << "ta=" << rv->result.traversals_a << '\n';
-    os << "tb=" << rv->result.traversals_b << '\n';
-    os << "rv_budget=" << (rv->result.budget_exhausted ? 1 : 0) << '\n';
-    os << "schedule=";
+    out += "kind=rendezvous\n";
+    append_u64_field(out, "met", rv->result.met ? 1 : 0);
+    encode_pos(out, rv->result.meeting_point);
+    append_u64_field(out, "ta", rv->result.traversals_a);
+    append_u64_field(out, "tb", rv->result.traversals_b);
+    append_u64_field(out, "rv_budget", rv->result.budget_exhausted ? 1 : 0);
+    out += "schedule=";
     for (std::size_t i = 0; i < rv->schedule.steps.size(); ++i) {
-      if (i) os << ',';
-      os << rv->schedule.steps[i].agent << ':' << rv->schedule.steps[i].delta;
+      if (i) out += ',';
+      append_decimal(out, rv->schedule.steps[i].agent);
+      out += ':';
+      append_decimal(out, rv->schedule.steps[i].delta);
     }
-    os << '\n';
+    out += '\n';
   } else if (const SglOutcome* sgl = outcome.sgl()) {
-    os << "kind=sgl\n";
-    os << "completed=" << (sgl->run.completed ? 1 : 0) << '\n';
-    os << "sgl_budget=" << (sgl->run.budget_exhausted ? 1 : 0) << '\n';
-    os << "stuck=" << (sgl->run.stuck ? 1 : 0) << '\n';
-    os << "total=" << sgl->run.total_traversals << '\n';
-    encode_list(os, "per_agent", sgl->run.traversals_per_agent);
-    os << "states=";
-    for (std::size_t i = 0; i < sgl->run.final_states.size(); ++i) {
-      if (i) os << ',';
-      os << static_cast<int>(sgl->run.final_states[i]);
-    }
-    os << '\n';
-    os << "outputs=" << sgl->run.outputs.size() << '\n';
+    out += "kind=sgl\n";
+    append_u64_field(out, "completed", sgl->run.completed ? 1 : 0);
+    append_u64_field(out, "sgl_budget", sgl->run.budget_exhausted ? 1 : 0);
+    append_u64_field(out, "stuck", sgl->run.stuck ? 1 : 0);
+    append_u64_field(out, "total", sgl->run.total_traversals);
+    append_list_field(out, "per_agent", sgl->run.traversals_per_agent);
+    append_list_field(out, "states", sgl->run.final_states);
+    append_u64_field(out, "outputs", sgl->run.outputs.size());
     for (std::size_t i = 0; i < sgl->run.outputs.size(); ++i) {
-      os << "output." << i << '=';
+      out += "output.";
+      append_decimal(out, i);
+      out += '=';
       std::size_t j = 0;
       for (const auto& [label, value] : sgl->run.outputs[i]) {
-        if (j++) os << ',';
-        os << label << ':' << percent_escape(value);
+        if (j++) out += ',';
+        append_decimal(out, label);
+        out += ':';
+        append_percent_escaped(out, value);
       }
-      os << '\n';
+      out += '\n';
     }
   } else if (const SearchOutcome* se = outcome.search()) {
-    os << "kind=search\n";
-    os << "best_genome=" << percent_escape(se->best_genome) << '\n';
-    os << "best_score=" << se->best_score << '\n';
-    os << "best_cost=" << se->best_cost << '\n';
-    os << "best_phase=" << se->best_phase << '\n';
-    os << "best_met=" << (se->best_met ? 1 : 0) << '\n';
-    os << "bound=" << se->bound << '\n';
-    os << "violations=" << se->violations << '\n';
-    os << "best_violation=" << (se->best_violation ? 1 : 0) << '\n';
-    os << "evaluations=" << se->evaluations << '\n';
-    os << "improvements=" << se->improvements << '\n';
+    out += "kind=search\n";
+    append_escaped_field(out, "best_genome", se->best_genome);
+    append_u64_field(out, "best_score", se->best_score);
+    append_u64_field(out, "best_cost", se->best_cost);
+    append_u64_field(out, "best_phase", se->best_phase);
+    append_u64_field(out, "best_met", se->best_met ? 1 : 0);
+    append_u64_field(out, "bound", se->bound);
+    append_u64_field(out, "violations", se->violations);
+    append_u64_field(out, "best_violation", se->best_violation ? 1 : 0);
+    append_u64_field(out, "evaluations", se->evaluations);
+    append_u64_field(out, "improvements", se->improvements);
   } else {
-    os << "kind=none\n";
+    out += "kind=none\n";
   }
-  os << "end\n";
-  return os.str();
+  out += "end\n";
+  return out;
 }
 
-std::optional<ExperimentOutcome> decode_outcome(const ExperimentSpec& spec,
-                                                const std::string& bytes,
-                                                std::uint32_t format_version) {
+// decode_outcome against an already rendered `canonical` == spec.canonical().
+std::optional<ExperimentOutcome> decode_record(const ExperimentSpec& spec,
+                                               std::string_view canonical,
+                                               std::string_view bytes,
+                                               std::uint32_t format_version) {
   try {
     Reader in(bytes);
-    const auto header = in.line();
-    if (!header || *header != version_header(format_version)) {
+    if (!in.skip(kVersionPrefix) ||
+        in.line() != std::to_string(format_version)) {
       return std::nullopt;
     }
-    const auto spec_bytes = in.u64("spec-bytes");
-    const std::string canonical = spec.canonical();
-    if (!spec_bytes || *spec_bytes != canonical.size()) return std::nullopt;
     // The stored canonical spec must match the probe byte-for-byte — a
     // colliding fingerprint or a foreign file is a miss, never a wrong hit.
-    {
-      std::istringstream expect(canonical);
-      std::string expect_line;
-      while (std::getline(expect, expect_line)) {
-        const auto got = in.line();
-        if (!got || *got != expect_line) return std::nullopt;
-      }
+    const auto spec_bytes = in.u64("spec-bytes");
+    if (!spec_bytes || *spec_bytes != canonical.size() ||
+        !in.skip(canonical)) {
+      return std::nullopt;
     }
     ExperimentOutcome out;
     const auto status = in.field("status");
@@ -486,6 +481,20 @@ std::optional<ExperimentOutcome> decode_outcome(const ExperimentSpec& spec,
   } catch (const std::exception&) {
     return std::nullopt;  // any malformation is a miss, never an error
   }
+}
+
+}  // namespace
+
+std::string encode_outcome(const ExperimentSpec& spec,
+                           const ExperimentOutcome& outcome,
+                           std::uint32_t format_version) {
+  return encode_record(spec.canonical(), outcome, format_version);
+}
+
+std::optional<ExperimentOutcome> decode_outcome(const ExperimentSpec& spec,
+                                                const std::string& bytes,
+                                                std::uint32_t format_version) {
+  return decode_record(spec, spec.canonical(), bytes, format_version);
 }
 
 // ---------------------------------------------------------------------------
@@ -579,7 +588,9 @@ bool SweepCache::load_one_segment_locked(const std::string& path) const {
 
 std::optional<ExperimentOutcome> SweepCache::lookup(
     const ExperimentSpec& spec) const {
-  const Fingerprint fp = spec.fingerprint();
+  // One render of the spec serves the key and the stored-spec compare.
+  const std::string canonical = spec.canonical();
+  const Fingerprint fp = fingerprint_bytes(canonical);
   std::lock_guard<std::mutex> lock(mu_);
   sc_in().lookups.add(1);
   const auto it = index_.find(fp);
@@ -591,7 +602,7 @@ std::optional<ExperimentOutcome> SweepCache::lookup(
     return std::nullopt;
   }
   // A collision or a damaged payload decodes to nullopt: a miss.
-  auto out = decode_outcome(spec, bytes, format_version_);
+  auto out = decode_record(spec, canonical, bytes, format_version_);
   if (out) sc_in().hits.add(1);
   return out;
 }
@@ -628,8 +639,11 @@ bool SweepCache::ensure_active_locked() const {
 void SweepCache::store(const ExperimentSpec& spec,
                        const ExperimentOutcome& outcome) const {
   try {
-    const Fingerprint fp = spec.fingerprint();
-    const std::string bytes = encode_outcome(spec, outcome, format_version_);
+    // One render of the spec serves the key and the record.
+    const std::string canonical = spec.canonical();
+    const Fingerprint fp = fingerprint_bytes(canonical);
+    const std::string bytes =
+        encode_record(canonical, outcome, format_version_);
     std::lock_guard<std::mutex> lock(mu_);
     if (!ensure_active_locked()) return;
     const int fd = segments_[static_cast<std::size_t>(active_segment_)].fd;

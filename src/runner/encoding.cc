@@ -5,9 +5,14 @@
 namespace asyncrv::runner {
 
 std::string percent_escape(const std::string& s) {
-  static const char hex[] = "0123456789abcdef";
   std::string out;
   out.reserve(s.size());
+  append_percent_escaped(out, s);
+  return out;
+}
+
+void append_percent_escaped(std::string& out, std::string_view s) {
+  static const char hex[] = "0123456789abcdef";
   for (const char c : s) {
     const auto u = static_cast<unsigned char>(c);
     if (u < 0x20 || c == '%' || c == ',' || c == ':' || c == 0x7f) {
@@ -18,7 +23,6 @@ std::string percent_escape(const std::string& s) {
       out.push_back(c);
     }
   }
-  return out;
 }
 
 namespace {
@@ -45,6 +49,18 @@ std::optional<std::string> percent_unescape(const std::string& s) {
     out.push_back(static_cast<char>(hi * 16 + lo));
     i += 2;
   }
+  return out;
+}
+
+std::optional<std::uint64_t> LineReader::u64(std::string_view key) {
+  // std::from_chars over the whole value has parse_u64's grammar: digits
+  // only (no sign, no space), leading zeros allowed, overflow rejected.
+  const auto v = value(key);
+  if (!v) return std::nullopt;
+  std::uint64_t out = 0;
+  const char* end = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), end, out);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
   return out;
 }
 

@@ -6,10 +6,11 @@
 // splitting and number parsing they share with obs/ live in util/text.h).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/text.h"
@@ -21,6 +22,49 @@ namespace asyncrv::runner {
 /// the escaped form contains no newlines and no bare separators.
 std::string percent_escape(const std::string& s);
 
+/// Appends percent_escape(s) to `out` — the form the canonical-spec and
+/// cache-record writers use to build a whole text in one buffer.
+void append_percent_escaped(std::string& out, std::string_view s);
+
+/// Appends the decimal digits of `v` (a leading '-' when negative) — the
+/// bytes `std::ostream << v` writes for an integer.
+template <typename Int>
+void append_decimal(std::string& out, Int v) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof(digits), v).ptr);
+}
+
+/// Line writers of the `key=value` formats, the inverses of LineReader's
+/// accessors: "<key>=<v>\n" with `v` in decimal, percent-escaped, or as a
+/// comma-separated decimal list.
+inline void append_u64_field(std::string& out, std::string_view key,
+                             std::uint64_t v) {
+  out += key;
+  out += '=';
+  append_decimal(out, v);
+  out += '\n';
+}
+
+inline void append_escaped_field(std::string& out, std::string_view key,
+                                 std::string_view v) {
+  out += key;
+  out += '=';
+  append_percent_escaped(out, v);
+  out += '\n';
+}
+
+template <typename T>
+void append_list_field(std::string& out, std::string_view key,
+                       const std::vector<T>& v) {
+  out += key;
+  out += '=';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i) out += ',';
+    append_decimal(out, static_cast<std::uint64_t>(v[i]));
+  }
+  out += '\n';
+}
+
 /// Exact inverse of percent_escape; nullopt on a malformed '%' sequence.
 std::optional<std::string> percent_unescape(const std::string& s);
 
@@ -28,36 +72,46 @@ std::optional<std::string> percent_unescape(const std::string& s);
 /// of the `key=value` formats (cache entries, canonical specs, STATUS
 /// responses). Every accessor returns nullopt on the slightest mismatch —
 /// wrong key, non-numeric digits, EOF — so malformed input degrades to a
-/// parse failure, never to a wrong value.
+/// parse failure, never to a wrong value. A line ends at '\n' or at the
+/// end of the input; every other byte ('\r' included) is kept verbatim.
+/// Each accessor consumes one line, matched or not.
 class LineReader {
  public:
-  explicit LineReader(const std::string& bytes) : in_(bytes) {}
+  /// Reads `bytes` in place: they must outlive the reader.
+  explicit LineReader(std::string_view bytes) : bytes_(bytes) {}
 
   /// Next line verbatim; fails permanently at EOF.
   std::optional<std::string> line() {
-    std::string l;
-    if (!std::getline(in_, l)) return std::nullopt;
-    return l;
+    const auto l = next_line();
+    if (!l) return std::nullopt;
+    return std::string(*l);
   }
 
   /// A "key=value" line with exactly this key; nullopt otherwise.
-  std::optional<std::string> field(const std::string& key) {
-    const auto l = line();
-    if (!l) return std::nullopt;
-    if (l->rfind(key + "=", 0) != 0) return std::nullopt;
-    return l->substr(key.size() + 1);
-  }
-
-  std::optional<std::uint64_t> u64(const std::string& key) {
-    const auto v = field(key);
+  std::optional<std::string> field(std::string_view key) {
+    const auto v = value(key);
     if (!v) return std::nullopt;
-    return parse_u64(*v);
+    return std::string(*v);
   }
 
-  std::optional<bool> flag(const std::string& key) {
-    const auto v = field(key);
+  /// A field holding a strict decimal u64 (parse_u64's grammar).
+  std::optional<std::uint64_t> u64(std::string_view key);
+
+  /// A field holding exactly "0" or "1".
+  std::optional<bool> flag(std::string_view key) {
+    const auto v = value(key);
     if (!v || (*v != "0" && *v != "1")) return std::nullopt;
     return *v == "1";
+  }
+
+  /// Consumes `bytes` — newlines included — if the input continues with
+  /// exactly them; false (nothing consumed) otherwise.
+  bool skip(std::string_view bytes) {
+    if (pos_ > bytes_.size() || bytes_.substr(pos_, bytes.size()) != bytes) {
+      return false;
+    }
+    pos_ += bytes.size();
+    return true;
   }
 
   /// Strict decimal i64 with an optional leading '-'.
@@ -68,7 +122,27 @@ class LineReader {
       const std::string& s);
 
  private:
-  std::istringstream in_;
+  std::optional<std::string_view> next_line() {
+    if (pos_ >= bytes_.size()) return std::nullopt;
+    const std::size_t nl = bytes_.find('\n', pos_);
+    const std::size_t end = nl == std::string_view::npos ? bytes_.size() : nl;
+    const std::string_view l = bytes_.substr(pos_, end - pos_);
+    pos_ = end + 1;  // past the '\n', or past the end: EOF from now on
+    return l;
+  }
+
+  /// The value of the next line if it is "<key>=<value>".
+  std::optional<std::string_view> value(std::string_view key) {
+    const auto l = next_line();
+    if (!l || l->size() <= key.size() || l->compare(0, key.size(), key) != 0 ||
+        (*l)[key.size()] != '=') {
+      return std::nullopt;
+    }
+    return l->substr(key.size() + 1);
+  }
+
+  std::string_view bytes_;
+  std::size_t pos_ = 0;
 };
 
 }  // namespace asyncrv::runner

@@ -1,7 +1,5 @@
 #include "runner/spec.h"
 
-#include <sstream>
-
 #include "runner/encoding.h"
 #include "util/prng.h"
 
@@ -15,67 +13,66 @@ namespace {
 // percent-escaped (runner/encoding.h) so that separators (newline, comma,
 // colon, '%') occurring in user data (e.g. SGL payload values) cannot forge
 // field boundaries; everything else is emitted verbatim to keep the form
-// human-readable.
+// human-readable. Built by appends into one buffer: the form is rendered
+// for every cache key, so it is on the per-cell path of every sweep.
 
 const char kSpecVersion[] = "asyncrv.spec.v1";
 
-template <typename T>
-void field_list(std::ostream& os, const char* key, const std::vector<T>& v) {
-  os << key << '=';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) os << ',';
-    os << static_cast<std::uint64_t>(v[i]);
-  }
-  os << '\n';
+void canonicalize(std::string& out, const RendezvousSpec& s) {
+  out += "kind=rendezvous\n";
+  append_escaped_field(out, "graph", s.graph);
+  append_escaped_field(out, "adversary", s.adversary);
+  out += s.algo == RouteAlgo::Baseline ? "algo=baseline\n"
+                                       : "algo=rv-asynch-poly\n";
+  append_list_field(out, "labels", s.labels);
+  append_list_field(out, "starts", s.starts);
+  append_u64_field(out, "budget", s.budget);
+  append_u64_field(out, "seed", s.seed);
+  append_escaped_field(out, "ppoly", s.ppoly);
+  append_u64_field(out, "kit_seed", s.kit_seed);
+  append_u64_field(out, "record_schedule", s.record_schedule ? 1 : 0);
 }
 
-void canonicalize(std::ostream& os, const RendezvousSpec& s) {
-  os << "kind=rendezvous\n";
-  os << "graph=" << percent_escape(s.graph) << '\n';
-  os << "adversary=" << percent_escape(s.adversary) << '\n';
-  os << "algo=" << (s.algo == RouteAlgo::Baseline ? "baseline" : "rv-asynch-poly")
-     << '\n';
-  field_list(os, "labels", s.labels);
-  field_list(os, "starts", s.starts);
-  os << "budget=" << s.budget << '\n';
-  os << "seed=" << s.seed << '\n';
-  os << "ppoly=" << percent_escape(s.ppoly) << '\n';
-  os << "kit_seed=" << s.kit_seed << '\n';
-  os << "record_schedule=" << (s.record_schedule ? 1 : 0) << '\n';
-}
-
-void canonicalize(std::ostream& os, const SglSpec& s) {
-  os << "kind=sgl\n";
-  os << "graph=" << percent_escape(s.graph) << '\n';
-  field_list(os, "labels", s.labels);
-  field_list(os, "starts", s.starts);
-  os << "budget=" << s.budget << '\n';
-  os << "seed=" << s.seed << '\n';
-  os << "ppoly=" << percent_escape(s.ppoly) << '\n';
-  os << "kit_seed=" << s.kit_seed << '\n';
-  os << "robust_phase3=" << (s.robust_phase3 ? 1 : 0) << '\n';
-  os << "team=" << s.team.size() << '\n';
+void canonicalize(std::string& out, const SglSpec& s) {
+  out += "kind=sgl\n";
+  append_escaped_field(out, "graph", s.graph);
+  append_list_field(out, "labels", s.labels);
+  append_list_field(out, "starts", s.starts);
+  append_u64_field(out, "budget", s.budget);
+  append_u64_field(out, "seed", s.seed);
+  append_escaped_field(out, "ppoly", s.ppoly);
+  append_u64_field(out, "kit_seed", s.kit_seed);
+  append_u64_field(out, "robust_phase3", s.robust_phase3 ? 1 : 0);
+  append_u64_field(out, "team", s.team.size());
   for (std::size_t i = 0; i < s.team.size(); ++i) {
     const SglAgentSpec& a = s.team[i];
-    os << "team." << i << '=' << a.start << ':' << a.label << ':'
-       << percent_escape(a.value) << ':' << (a.initially_awake ? 1 : 0) << ':'
-       << a.wake_after_units << '\n';
+    out += "team.";
+    append_decimal(out, i);
+    out += '=';
+    append_decimal(out, a.start);
+    out += ':';
+    append_decimal(out, a.label);
+    out += ':';
+    append_percent_escaped(out, a.value);
+    out += a.initially_awake ? ":1:" : ":0:";
+    append_decimal(out, a.wake_after_units);
+    out += '\n';
   }
 }
 
-void canonicalize(std::ostream& os, const SearchSpec& s) {
-  os << "kind=search\n";
-  os << "graph=" << percent_escape(s.graph) << '\n';
-  os << "objective=" << percent_escape(s.objective) << '\n';
-  os << "optimizer=" << percent_escape(s.optimizer) << '\n';
-  field_list(os, "labels", s.labels);
-  field_list(os, "starts", s.starts);
-  os << "budget=" << s.budget << '\n';
-  os << "evaluations=" << s.evaluations << '\n';
-  os << "genome_len=" << s.genome_len << '\n';
-  os << "seed=" << s.seed << '\n';
-  os << "ppoly=" << percent_escape(s.ppoly) << '\n';
-  os << "kit_seed=" << s.kit_seed << '\n';
+void canonicalize(std::string& out, const SearchSpec& s) {
+  out += "kind=search\n";
+  append_escaped_field(out, "graph", s.graph);
+  append_escaped_field(out, "objective", s.objective);
+  append_escaped_field(out, "optimizer", s.optimizer);
+  append_list_field(out, "labels", s.labels);
+  append_list_field(out, "starts", s.starts);
+  append_u64_field(out, "budget", s.budget);
+  append_u64_field(out, "evaluations", s.evaluations);
+  append_u64_field(out, "genome_len", s.genome_len);
+  append_u64_field(out, "seed", s.seed);
+  append_escaped_field(out, "ppoly", s.ppoly);
+  append_u64_field(out, "kit_seed", s.kit_seed);
 }
 
 }  // namespace
@@ -95,17 +92,21 @@ std::string Fingerprint::hex() const {
 
 Fingerprint fingerprint_bytes(const std::string& bytes) {
   // FNV-1a-128 with the standard offset basis and prime. Frozen: the golden
-  // fingerprints in tests/spec_test.cc pin this exact function.
-  u128 h = (u128{0x6c62272e07bb0142ULL} << 64) | 0x62b821756295c58dULL;
-  const u128 prime = (u128{0x0000000001000000ULL} << 64) | 0x000000000000013bULL;
+  // fingerprints in tests/spec_test.cc pin this exact function. The prime
+  // is 2^88 + 0x13b, so h * prime = h * 0x13b + (h << 88) mod 2^128: one
+  // 64x64->128 multiply of the low word, a 64-bit multiply of the high
+  // word, and the low word shifted into the high one (spec_test checks
+  // this against the full 128-bit multiply).
+  std::uint64_t hi = 0x6c62272e07bb0142ULL;
+  std::uint64_t lo = 0x62b821756295c58dULL;
   for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= prime;
+    lo ^= static_cast<unsigned char>(c);
+    const u128 low_product = static_cast<u128>(lo) * 0x13b;
+    hi = hi * 0x13b + (lo << 24) +
+         static_cast<std::uint64_t>(low_product >> 64);
+    lo = static_cast<std::uint64_t>(low_product);
   }
-  Fingerprint fp;
-  fp.hi = static_cast<std::uint64_t>(h >> 64);
-  fp.lo = static_cast<std::uint64_t>(h);
-  return fp;
+  return Fingerprint{.hi = hi, .lo = lo};
 }
 
 std::vector<std::uint64_t> ExperimentSpec::labels() const {
@@ -138,11 +139,13 @@ std::string ExperimentSpec::display() const {
 }
 
 std::string ExperimentSpec::canonical() const {
-  std::ostringstream os;
-  os << kSpecVersion << '\n';
-  std::visit([&os](const auto& payload) { canonicalize(os, payload); },
+  std::string out;
+  out.reserve(256);  // a typical form is ~190 bytes: one allocation
+  out += kSpecVersion;
+  out += '\n';
+  std::visit([&out](const auto& payload) { canonicalize(out, payload); },
              scenario);
-  return os.str();
+  return out;
 }
 
 namespace {

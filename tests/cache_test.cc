@@ -186,6 +186,237 @@ TEST(CacheCodec, ErrorOutcomeRoundTrips) {
   EXPECT_EQ(back->error, out.error);
 }
 
+// --- golden records ---------------------------------------------------------
+//
+// The round-trip tests above would still pass if the encoder changed the
+// bytes it stores; these pin one record per result kind byte for byte.
+// A failure here means existing caches go cold (bump kFormatVersion),
+// never a test update.
+
+/// Asserts `out` encodes to exactly `golden` and that the golden record
+/// decodes back to an outcome that re-encodes to the same bytes.
+void expect_golden_record(const runner::ExperimentSpec& spec,
+                          const runner::ExperimentOutcome& out,
+                          const std::string& golden) {
+  EXPECT_EQ(runner::encode_outcome(spec, out, 1), golden);
+  const auto back = runner::decode_outcome(spec, golden, 1);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(runner::encode_outcome(spec, *back, 1), golden);
+}
+
+TEST(CacheCodec, GoldenRendezvousRecordWithSchedule) {
+  const runner::ExperimentSpec spec = rv_spec(42, /*record_schedule=*/true);
+  runner::ExperimentOutcome out;
+  out.status = runner::RunStatus::Ok;
+  out.cost = 1234;
+  runner::RendezvousOutcome rv;
+  rv.result.met = true;
+  rv.result.meeting_point = Pos::on_edge(3, 17);
+  rv.result.traversals_a = 600;
+  rv.result.traversals_b = 634;
+  rv.schedule.steps = {{0, 5}, {1, -3}, {0, INT64_MAX}, {1, INT64_MIN + 1}};
+  out.result = rv;
+  expect_golden_record(spec, out,
+                       "asyncrv.cache.v1\n"
+                       "spec-bytes=181\n"
+                       "asyncrv.spec.v1\n"
+                       "kind=rendezvous\n"
+                       "graph=ring%3a5\n"
+                       "adversary=oscillating\n"
+                       "algo=rv-asynch-poly\n"
+                       "labels=5,12\n"
+                       "starts=\n"
+                       "budget=2000000\n"
+                       "seed=42\n"
+                       "ppoly=tiny\n"
+                       "kit_seed=1592590337\n"
+                       "record_schedule=1\n"
+                       "status=ok\n"
+                       "budget_exhausted=0\n"
+                       "cost=1234\n"
+                       "error=\n"
+                       "kind=rendezvous\n"
+                       "met=1\n"
+                       "meeting=edge:3:17\n"
+                       "ta=600\n"
+                       "tb=634\n"
+                       "rv_budget=0\n"
+                       "schedule=0:5,1:-3,0:9223372036854775807,"
+                       "1:-9223372036854775807\n"
+                       "end\n");
+}
+
+TEST(CacheCodec, GoldenSglRecordEscapesOutputValues) {
+  const runner::ExperimentSpec spec = sgl_spec();
+  runner::ExperimentOutcome out;
+  out.status = runner::RunStatus::Unresolved;
+  out.budget_exhausted = true;
+  out.cost = UINT64_MAX;
+  runner::SglOutcome sgl;
+  sgl.run.budget_exhausted = true;
+  sgl.run.outputs = {{{3, "v:3"}, {7, "a,b%c\nd"}}, {}};
+  sgl.run.final_states = {SglState::Explorer, SglState::Dormant};
+  sgl.run.total_traversals = 77;
+  sgl.run.traversals_per_agent = {40, 37};
+  out.result = sgl;
+  expect_golden_record(spec, out,
+                       "asyncrv.cache.v1\n"
+                       "spec-bytes=136\n"
+                       "asyncrv.spec.v1\n"
+                       "kind=sgl\n"
+                       "graph=ring%3a3\n"
+                       "labels=3,7\n"
+                       "starts=\n"
+                       "budget=60000000\n"
+                       "seed=5\n"
+                       "ppoly=tiny\n"
+                       "kit_seed=1592590337\n"
+                       "robust_phase3=1\n"
+                       "team=0\n"
+                       "status=unresolved\n"
+                       "budget_exhausted=1\n"
+                       "cost=18446744073709551615\n"
+                       "error=\n"
+                       "kind=sgl\n"
+                       "completed=0\n"
+                       "sgl_budget=1\n"
+                       "stuck=0\n"
+                       "total=77\n"
+                       "per_agent=40,37\n"
+                       "states=2,0\n"
+                       "outputs=2\n"
+                       "output.0=3:v%3a3,7:a%2cb%25c%0ad\n"
+                       "output.1=\n"
+                       "end\n");
+}
+
+TEST(CacheCodec, GoldenSearchRecord) {
+  runner::SearchSpec se;
+  se.graph = "ring:6";
+  se.labels = {5, 12};
+  se.seed = 9;
+  const runner::ExperimentSpec spec{.name = "", .scenario = std::move(se)};
+  runner::ExperimentOutcome out;
+  out.status = runner::RunStatus::Ok;
+  out.cost = 0;
+  runner::SearchOutcome res;
+  res.best_genome = "g1:0:3:2,1:5:1";
+  res.best_score = 981;
+  res.best_cost = 980;
+  res.best_phase = 4;
+  res.best_met = true;
+  res.bound = UINT64_MAX;
+  res.violations = 2;
+  res.best_violation = true;
+  res.evaluations = 200;
+  res.improvements = 13;
+  out.result = res;
+  expect_golden_record(spec, out,
+                       "asyncrv.cache.v1\n"
+                       "spec-bytes=179\n"
+                       "asyncrv.spec.v1\n"
+                       "kind=search\n"
+                       "graph=ring%3a6\n"
+                       "objective=rv-cost\n"
+                       "optimizer=hill\n"
+                       "labels=5,12\n"
+                       "starts=\n"
+                       "budget=2000000\n"
+                       "evaluations=200\n"
+                       "genome_len=16\n"
+                       "seed=9\n"
+                       "ppoly=tiny\n"
+                       "kit_seed=1592590337\n"
+                       "status=ok\n"
+                       "budget_exhausted=0\n"
+                       "cost=0\n"
+                       "error=\n"
+                       "kind=search\n"
+                       "best_genome=g1%3a0%3a3%3a2%2c1%3a5%3a1\n"
+                       "best_score=981\n"
+                       "best_cost=980\n"
+                       "best_phase=4\n"
+                       "best_met=1\n"
+                       "bound=18446744073709551615\n"
+                       "violations=2\n"
+                       "best_violation=1\n"
+                       "evaluations=200\n"
+                       "improvements=13\n"
+                       "end\n");
+}
+
+TEST(CacheCodec, GoldenErrorRecordEscapesTheMessage) {
+  runner::ExperimentSpec spec = rv_spec();
+  std::get<runner::RendezvousSpec>(spec.scenario).labels = {5};
+  runner::ExperimentOutcome out;
+  out.status = runner::RunStatus::Error;
+  out.error = "bad spec: labels=5,\n100% \x01wrong";
+  expect_golden_record(spec, out,
+                       "asyncrv.cache.v1\n"
+                       "spec-bytes=178\n"
+                       "asyncrv.spec.v1\n"
+                       "kind=rendezvous\n"
+                       "graph=ring%3a5\n"
+                       "adversary=oscillating\n"
+                       "algo=rv-asynch-poly\n"
+                       "labels=5\n"
+                       "starts=\n"
+                       "budget=2000000\n"
+                       "seed=42\n"
+                       "ppoly=tiny\n"
+                       "kit_seed=1592590337\n"
+                       "record_schedule=0\n"
+                       "status=error\n"
+                       "budget_exhausted=0\n"
+                       "cost=0\n"
+                       "error=bad spec%3a labels=5%2c%0a100%25 %01wrong\n"
+                       "kind=none\n"
+                       "end\n");
+}
+
+TEST(CacheCodec, StoredSpecDifferingInItsLastByteIsAMiss) {
+  // Same length, same fingerprint slot, one byte off: the byte compare of
+  // the stored spec, not the length check, must reject it.
+  const std::string dir = fresh_dir("last_byte");
+  const runner::ExperimentSpec spec = rv_spec();
+  const std::string good = entry_bytes(spec);
+  const std::string canonical = spec.canonical();
+  const std::size_t spec_at = good.find(canonical);
+  ASSERT_NE(spec_at, std::string::npos);
+  const std::size_t last = spec_at + canonical.size() - 1;
+  for (const std::size_t at : {last - 1, last}) {
+    std::string bad = good;
+    bad[at] = bad[at] == '0' ? '1' : '0';
+    EXPECT_FALSE(decodes(spec, bad)) << "byte " << at;
+    EXPECT_FALSE(planted_record_hits(dir, spec, bad)) << "byte " << at;
+  }
+  EXPECT_TRUE(planted_record_hits(dir, spec, good));
+}
+
+TEST(CacheCodec, SpecBytesRunningPastThePayloadIsAMiss) {
+  const std::string dir = fresh_dir("spec_bytes");
+  const runner::ExperimentSpec spec = rv_spec();
+  const std::string good = entry_bytes(spec);
+  const std::string canonical = spec.canonical();
+  const std::string length_line =
+      "spec-bytes=" + std::to_string(canonical.size()) + "\n";
+  const std::size_t spec_at = good.find(length_line) + length_line.size();
+  ASSERT_EQ(good.compare(spec_at, canonical.size(), canonical), 0);
+  // The right length, but the payload ends inside the spec.
+  for (const std::size_t keep : {spec_at, spec_at + 1,
+                                 spec_at + canonical.size() - 1}) {
+    const std::string cut = good.substr(0, keep);
+    EXPECT_FALSE(decodes(spec, cut)) << "cut at " << keep;
+    EXPECT_FALSE(planted_record_hits(dir, spec, cut)) << "cut at " << keep;
+  }
+  // A length past the end of the payload.
+  std::string long_claim = good;
+  long_claim.replace(good.find(length_line), length_line.size(),
+                     "spec-bytes=" + std::to_string(good.size() + 1) + "\n");
+  EXPECT_FALSE(decodes(spec, long_claim));
+  EXPECT_FALSE(planted_record_hits(dir, spec, long_claim));
+}
+
 TEST(Cache, StoreThenLookupHits) {
   const runner::SweepCache cache(fresh_dir("hit"));
   const runner::ExperimentSpec spec = rv_spec();

@@ -10,8 +10,219 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <sstream>
+
+#include "runner/encoding.h"
+
 namespace asyncrv {
 namespace {
+
+// --- reference renderer -----------------------------------------------------
+//
+// The canonical form as first written, through std::ostringstream. The
+// production renderer builds the same bytes with appends; this copy stays
+// as the differential oracle that proves it.
+
+template <typename T>
+void reference_list(std::ostream& os, const char* key,
+                    const std::vector<T>& v) {
+  os << key << '=';
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i) os << ',';
+    os << static_cast<std::uint64_t>(v[i]);
+  }
+  os << '\n';
+}
+
+void reference_payload(std::ostream& os, const runner::RendezvousSpec& s) {
+  os << "kind=rendezvous\n";
+  os << "graph=" << runner::percent_escape(s.graph) << '\n';
+  os << "adversary=" << runner::percent_escape(s.adversary) << '\n';
+  os << "algo="
+     << (s.algo == runner::RouteAlgo::Baseline ? "baseline" : "rv-asynch-poly")
+     << '\n';
+  reference_list(os, "labels", s.labels);
+  reference_list(os, "starts", s.starts);
+  os << "budget=" << s.budget << '\n';
+  os << "seed=" << s.seed << '\n';
+  os << "ppoly=" << runner::percent_escape(s.ppoly) << '\n';
+  os << "kit_seed=" << s.kit_seed << '\n';
+  os << "record_schedule=" << (s.record_schedule ? 1 : 0) << '\n';
+}
+
+void reference_payload(std::ostream& os, const runner::SglSpec& s) {
+  os << "kind=sgl\n";
+  os << "graph=" << runner::percent_escape(s.graph) << '\n';
+  reference_list(os, "labels", s.labels);
+  reference_list(os, "starts", s.starts);
+  os << "budget=" << s.budget << '\n';
+  os << "seed=" << s.seed << '\n';
+  os << "ppoly=" << runner::percent_escape(s.ppoly) << '\n';
+  os << "kit_seed=" << s.kit_seed << '\n';
+  os << "robust_phase3=" << (s.robust_phase3 ? 1 : 0) << '\n';
+  os << "team=" << s.team.size() << '\n';
+  for (std::size_t i = 0; i < s.team.size(); ++i) {
+    const SglAgentSpec& a = s.team[i];
+    os << "team." << i << '=' << a.start << ':' << a.label << ':'
+       << runner::percent_escape(a.value) << ':' << (a.initially_awake ? 1 : 0)
+       << ':' << a.wake_after_units << '\n';
+  }
+}
+
+void reference_payload(std::ostream& os, const runner::SearchSpec& s) {
+  os << "kind=search\n";
+  os << "graph=" << runner::percent_escape(s.graph) << '\n';
+  os << "objective=" << runner::percent_escape(s.objective) << '\n';
+  os << "optimizer=" << runner::percent_escape(s.optimizer) << '\n';
+  reference_list(os, "labels", s.labels);
+  reference_list(os, "starts", s.starts);
+  os << "budget=" << s.budget << '\n';
+  os << "evaluations=" << s.evaluations << '\n';
+  os << "genome_len=" << s.genome_len << '\n';
+  os << "seed=" << s.seed << '\n';
+  os << "ppoly=" << runner::percent_escape(s.ppoly) << '\n';
+  os << "kit_seed=" << s.kit_seed << '\n';
+}
+
+std::string reference_canonical(const runner::ExperimentSpec& spec) {
+  std::ostringstream os;
+  os << "asyncrv.spec.v1\n";
+  std::visit([&os](const auto& payload) { reference_payload(os, payload); },
+             spec.scenario);
+  return os.str();
+}
+
+/// FNV-1a-128 the textbook way: xor the byte, then one full 128-bit
+/// multiply by the prime 2^88 + 0x13b.
+runner::Fingerprint reference_fnv1a128(const std::string& bytes) {
+  u128 h = (u128{0x6c62272e07bb0142ULL} << 64) | 0x62b821756295c58dULL;
+  const u128 prime = (u128{0x0000000001000000ULL} << 64) | 0x13bULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= prime;
+  }
+  return {.hi = static_cast<std::uint64_t>(h >> 64),
+          .lo = static_cast<std::uint64_t>(h)};
+}
+
+/// Seeded generator of specs of every kind, biased towards the values a
+/// renderer gets wrong: separators and control bytes in strings, bytes
+/// >= 0x80, the numerals 0 and UINT64_MAX, empty lists, explicit teams.
+class SpecCorpus {
+ public:
+  explicit SpecCorpus(std::uint64_t seed) : rng_(seed) {}
+
+  runner::ExperimentSpec next() {
+    switch (pick(3)) {
+      case 0: return {.name = text(), .scenario = rendezvous()};
+      case 1: return {.name = text(), .scenario = sgl()};
+      default: return {.name = text(), .scenario = search()};
+    }
+  }
+
+ private:
+  std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
+
+  std::uint64_t number() {
+    switch (pick(5)) {
+      case 0: return 0;
+      case 1: return std::numeric_limits<std::uint64_t>::max();
+      case 2: return pick(10);
+      case 3: return rng_() >> pick(64);
+      default: return rng_();
+    }
+  }
+
+  Node node() {
+    return pick(4) == 0 ? std::numeric_limits<Node>::max()
+                        : static_cast<Node>(number());
+  }
+
+  std::string text() {
+    static const char hostile[] = {'%', ',', ':', '\n', '\r', '\0', '\x01',
+                                   '\x1f', '\x7f', '\x80', '\xff', '=', ' '};
+    std::string s;
+    const std::uint64_t len = pick(4) == 0 ? 0 : pick(24);
+    for (std::uint64_t i = 0; i < len; ++i) {
+      if (pick(3) == 0) {
+        s += hostile[pick(sizeof(hostile))];
+      } else {
+        s += static_cast<char>(pick(3) == 0 ? pick(256) : 'a' + pick(26));
+      }
+    }
+    return s;
+  }
+
+  std::vector<std::uint64_t> numbers() {
+    std::vector<std::uint64_t> v(pick(3) == 0 ? 0 : pick(6));
+    for (std::uint64_t& x : v) x = number();
+    return v;
+  }
+
+  std::vector<Node> nodes() {
+    std::vector<Node> v(pick(3) == 0 ? 0 : pick(6));
+    for (Node& x : v) x = node();
+    return v;
+  }
+
+  runner::RendezvousSpec rendezvous() {
+    runner::RendezvousSpec s;
+    s.graph = text();
+    s.adversary = text();
+    s.algo = pick(2) ? runner::RouteAlgo::Baseline
+                     : runner::RouteAlgo::RvAsynchPoly;
+    s.labels = numbers();
+    s.starts = nodes();
+    s.budget = number();
+    s.seed = number();
+    s.ppoly = text();
+    s.kit_seed = number();
+    s.record_schedule = pick(2) != 0;
+    return s;
+  }
+
+  runner::SglSpec sgl() {
+    runner::SglSpec s;
+    s.graph = text();
+    s.labels = numbers();
+    s.starts = nodes();
+    s.budget = number();
+    s.seed = number();
+    s.ppoly = text();
+    s.kit_seed = number();
+    s.robust_phase3 = pick(2) != 0;
+    s.team.resize(pick(2) ? 0 : pick(12));
+    for (SglAgentSpec& a : s.team) {
+      a.start = node();
+      a.label = number();
+      a.value = text();
+      a.initially_awake = pick(2) != 0;
+      a.wake_after_units = number();
+    }
+    return s;
+  }
+
+  runner::SearchSpec search() {
+    runner::SearchSpec s;
+    s.graph = text();
+    s.objective = text();
+    s.optimizer = text();
+    s.labels = numbers();
+    s.starts = nodes();
+    s.budget = number();
+    s.evaluations = number();
+    s.genome_len = number();
+    s.seed = number();
+    s.ppoly = text();
+    s.kit_seed = number();
+    return s;
+  }
+
+  std::mt19937_64 rng_;
+};
 
 runner::ExperimentSpec rv_spec() {
   runner::RendezvousSpec rv;
@@ -59,6 +270,40 @@ TEST(Fingerprint, KnownFnv1a128Vectors) {
   const runner::Fingerprint a = runner::fingerprint_bytes("a");
   EXPECT_NE(a, runner::fingerprint_bytes("b"));
   EXPECT_EQ(a, runner::fingerprint_bytes("a"));
+}
+
+TEST(Fingerprint, MatchesTheFullWidthMultiplyOnRandomBytes) {
+  std::mt19937_64 rng(0xf1f1);
+  for (std::size_t len = 0; len <= 512; ++len) {
+    for (int rep = 0; rep < 4; ++rep) {
+      std::string bytes(len, '\0');
+      for (char& c : bytes) c = static_cast<char>(rng());
+      ASSERT_EQ(runner::fingerprint_bytes(bytes), reference_fnv1a128(bytes))
+          << "length " << len;
+    }
+  }
+}
+
+TEST(Spec, CanonicalMatchesTheReferenceRendererOnASeededCorpus) {
+  SpecCorpus corpus(20261020);
+  int kinds[3] = {0, 0, 0};
+  for (int i = 0; i < 20'000; ++i) {
+    const runner::ExperimentSpec spec = corpus.next();
+    ++kinds[static_cast<int>(spec.kind())];
+    const std::string expected = reference_canonical(spec);
+    ASSERT_EQ(spec.canonical(), expected) << "corpus spec " << i;
+    ASSERT_EQ(spec.fingerprint(), reference_fnv1a128(expected));
+    // The parser inverts every rendering, hostile strings included.
+    const auto parsed = runner::spec_from_canonical(expected);
+    ASSERT_TRUE(parsed.has_value()) << "corpus spec " << i;
+    ASSERT_EQ(parsed->canonical(), expected);
+  }
+  for (const int n : kinds) EXPECT_GT(n, 6'000);
+  // The fixed specs of this file render identically too.
+  for (const runner::ExperimentSpec& spec :
+       {rv_spec(), sgl_spec(), search_spec()}) {
+    EXPECT_EQ(spec.canonical(), reference_canonical(spec));
+  }
 }
 
 TEST(Spec, NameIsDisplayOnly) {
