@@ -90,7 +90,7 @@ class SweepCache {
  public:
   /// The on-disk format version baked into this build. Test-only overrides
   /// below simulate cross-release invalidation.
-  static constexpr std::uint32_t kFormatVersion = 1;
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   /// Creates `dir` (and parents) if needed and loads the fingerprint map
   /// of every pack segment already in it. Throws only when the directory

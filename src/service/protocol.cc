@@ -8,8 +8,6 @@ namespace asyncrv::service {
 
 namespace {
 
-using runner::LineReader;
-
 /// First whitespace-delimited token and the remainder (leading spaces of
 /// the remainder stripped).
 std::pair<std::string, std::string> take_token(const std::string& s) {

@@ -130,23 +130,28 @@ Generator<Move> SglAgent::behavior() {
   // ---------------- State explorer ----------------
   set_state(SglState::Explorer);
 
-  // Phase 1: ESST against the token, recording the whole trajectory T.
+  // Phase 1: ESST against the token, then its backtrack, on a walker of
+  // their own: the suspended RV route's trails never see the detour, so
+  // Phase 2 resumes RV as if it had never been interrupted (DESIGN.md §2.4).
   esst_io_.token_here = [this] { return token_at_my_node(); };
-  Trail phase1_trail;
   {
-    TrailScope scope(walker_, phase1_trail);
-    esst_active_ = true;
-    auto esst = esst_route(walker_, kit, esst_io_, esst_result_);
-    while (esst.next()) co_yield esst.value();
-    esst_active_ = false;
+    Walker detour(walker_.graph(), walker_.node());
+    Trail phase1_trail;
+    {
+      TrailScope scope(detour, phase1_trail);
+      esst_active_ = true;
+      auto esst = esst_route(detour, kit, esst_io_, esst_result_);
+      while (esst.next()) co_yield esst.value();
+      esst_active_ = false;
+    }
+    auto back = follow_reverse(detour, phase1_trail);
+    while (back.next()) co_yield back.value();
+    ASYNCRV_CHECK(detour.node() == walker_.node());
   }
   const std::uint64_t t_bound = esst_result_.phase;  // certified: n < t
 
-  // Phase 2: backtrack T, then resume the RV route until the agent has made
-  // pi_hat(t, |L|) RV traversals in total, or a smaller label is known.
-  for (std::size_t i = phase1_trail.entry_ports.size(); i > 0; --i) {
-    co_yield walker_.take(static_cast<Port>(phase1_trail.entry_ports[i - 1]));
-  }
+  // Phase 2: resume the RV route until the agent has made pi_hat(t, |L|) RV
+  // traversals in total, or a smaller label is known.
   const std::uint64_t rv_limit =
       cfg.pi_hat(t_bound, static_cast<std::uint64_t>(label_length(label_)));
   while (rv_steps_ < rv_limit && min_known_label() >= label_) {
@@ -154,6 +159,7 @@ Generator<Move> SglAgent::behavior() {
     ++rv_steps_;
     co_yield rv.value();
   }
+  rv = {};  // RV is over: unregister its open trails from walker_
 
   // Phase 3.
   while (true) {
@@ -176,16 +182,11 @@ Generator<Move> SglAgent::behavior() {
       co_return;
     }
 
-    // Collection double-sweep: R(t, s) followed by a full backtrack.
+    // Collection double-sweep X(t, s) = R(t, s) + backtrack.
     const Bag before = bag_;
-    Trail sweep;
     {
-      TrailScope scope(walker_, sweep);
-      auto r = follow_R(walker_, kit, t_bound);
-      while (r.next()) co_yield r.value();
-    }
-    for (std::size_t i = sweep.entry_ports.size(); i > 0; --i) {
-      co_yield walker_.take(static_cast<Port>(sweep.entry_ports[i - 1]));
+      auto x = follow_X(walker_, kit, t_bound);
+      while (x.next()) co_yield x.value();
     }
     if (min_known_label() < label_) continue;  // robust demotion
     if (cfg.robust_phase3 && bag_ != before) continue;  // still learning
@@ -194,28 +195,16 @@ Generator<Move> SglAgent::behavior() {
     // double-sweep, then output.
     final_known_ = true;
     maybe_output();
-    Trail cast;
     {
-      TrailScope scope(walker_, cast);
-      auto r = follow_R(walker_, kit, t_bound);
-      while (r.next()) co_yield r.value();
-    }
-    for (std::size_t i = cast.entry_ports.size(); i > 0; --i) {
-      co_yield walker_.take(static_cast<Port>(cast.entry_ports[i - 1]));
+      auto x = follow_X(walker_, kit, t_bound);
+      while (x.next()) co_yield x.value();
     }
     if (!cfg.robust_phase3) co_return;
     // Robust mode: keep sweeping until every agent has output, so that
     // late ghosts (explorers that demote after this point) are informed.
     while (!run_->sim().all_done()) {
-      Trail extra;
-      {
-        TrailScope scope(walker_, extra);
-        auto r = follow_R(walker_, kit, t_bound);
-        while (r.next()) co_yield r.value();
-      }
-      for (std::size_t i = extra.entry_ports.size(); i > 0; --i) {
-        co_yield walker_.take(static_cast<Port>(extra.entry_ports[i - 1]));
-      }
+      auto x = follow_X(walker_, kit, t_bound);
+      while (x.next()) co_yield x.value();
     }
     co_return;
   }

@@ -13,12 +13,13 @@
 //    the (semi-stationary) token of some explorer; outputs once informed
 //    that its bag is complete;
 //  * explorer — Phase 1: Procedure ESST against its token, learning the
-//    size bound t (DESIGN.md §2.3); Phase 2: backtracks and resumes its
-//    suspended RV route until it has made Π̂(t, |L|) RV edge traversals or
-//    hears of a smaller label; Phase 3: if a smaller label is known, seeks
-//    its token and adopts/ghosts; otherwise (only the globally smallest
-//    agent, in a correct run) performs collection and broadcast sweeps
-//    R(t, s) + backtrack and outputs.
+//    size bound t (DESIGN.md §2.3), then its backtrack, both on a walker
+//    of their own; Phase 2: resumes its suspended RV route as if it had
+//    never been interrupted (DESIGN.md §2.4) until it has made Π̂(t, |L|)
+//    RV edge traversals or hears of a smaller label; Phase 3: if a smaller
+//    label is known, seeks its token and adopts/ghosts; otherwise (only
+//    the globally smallest agent, in a correct run) performs collection
+//    and broadcast sweeps X(t, s) = R(t, s) + backtrack and outputs.
 //
 // Executable-bound substitutions and the robust Phase 3 are documented in
 // DESIGN.md §2; Config::robust_phase3 selects between the paper-shaped

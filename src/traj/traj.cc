@@ -104,21 +104,6 @@ Generator<Move> follow_A(Walker& w, const TrajKit& kit, std::uint64_t k) {
 
 namespace {
 
-/// Takes on `shadow`, which stands where they started, the moves that
-/// `taken` recorded by entry port on another walker now standing at `end`.
-void retake(Walker& shadow, const Trail& taken, Node end) {
-  const Graph& g = shadow.graph();
-  std::vector<Port> exits(taken.size());
-  Node cur = end;
-  for (std::size_t j = taken.size(); j > 0; --j) {
-    const Graph::Half h = g.step(cur, static_cast<Port>(taken.entry_ports[j - 1]));
-    exits[j - 1] = h.port_at_to;
-    cur = h.to;
-  }
-  ASYNCRV_CHECK(cur == shadow.node());
-  for (const Port p : exits) shadow.take(p);
-}
-
 /// Shared shape of B, K and Ω: a closed base trajectory repeated `reps`
 /// times. `reps` is saturating 128-bit: a saturated count simply behaves as
 /// "practically infinite", which is faithful — such a route could never be
@@ -130,59 +115,28 @@ void retake(Walker& shadow, const Trail& taken, Node end) {
 /// is generated and its exit ports recorded; the others replay them through
 /// Walker::take, which appends to registered trails and counts moves
 /// exactly as regeneration does. Longer bases are regenerated each time.
-///
-/// A caller may move the walker while the route is suspended (SGL runs
-/// ESST mid-route). Regeneration appends those moves to the base's own
-/// open trails, which later backtrack them, so a touched repetition is no
-/// longer the period. `spy` sees every such move: the touched repetition
-/// is finished exactly as regeneration would, and later ones regenerate.
+/// Nobody else moves the walker while the route is suspended (SGL walks its
+/// ESST detour on a walker of its own), so the recording is the period.
 template <typename MakeBase>
 Generator<Move> repeat_base(Walker& w, u128 reps, SatU128 base_len,
                             MakeBase make_base) {
   u128 done = 0;
   if (reps > 1 && !base_len.is_saturated() &&
       base_len.value() <= kReplayCapPorts) {
-    const Node start = w.node();
+    [[maybe_unused]] const Node start = w.node();
     std::vector<Port> period;
     period.reserve(static_cast<std::size_t>(base_len.value()));
-    bool untouched = true;
-    Trail spy;
-    TrailScope spy_scope(w, spy);
     {
       auto base = make_base(w);
       while (base.next()) {
-        if (untouched) period.push_back(base.value().port_out);
-        spy.entry_ports.clear();
+        period.push_back(base.value().port_out);
         co_yield base.value();
-        untouched = untouched && spy.empty();
       }
     }
-    ASYNCRV_DCHECK(!untouched || period.size() == base_len.value());
-    for (done = 1; untouched && done < reps; ++done) {
+    ASYNCRV_DCHECK(period.size() == base_len.value());
+    for (done = 1; done < reps; ++done) {
       ASYNCRV_DCHECK(w.node() == start);
-      for (std::size_t i = 0; i < period.size(); ++i) {
-        const Move m = w.take(period[i]);
-        spy.entry_ports.clear();
-        co_yield m;
-        if (spy.empty()) continue;
-        // Rebuild the regenerated base on a private walker up to this
-        // point, hand it the caller's moves, and finish from it.
-        untouched = false;
-        Walker shadow(w.graph(), start);
-        auto base = make_base(shadow);
-        for (std::size_t j = 0; j <= i; ++j) {
-          base.next();
-          ASYNCRV_DCHECK(base.value().port_out == period[j]);
-        }
-        while (true) {
-          retake(shadow, spy, w.node());
-          if (!base.next()) break;
-          const Move next = w.take(base.value().port_out);
-          spy.entry_ports.clear();
-          co_yield next;
-        }
-        break;
-      }
+      for (const Port p : period) co_yield w.take(p);
     }
   }
   for (; done < reps; ++done) {

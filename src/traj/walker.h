@@ -71,10 +71,6 @@ class Walker {
     ASYNCRV_CHECK_MSG(false, "unregistering a trail that is not registered");
   }
 
-  /// Drops all trail registrations. Used when an agent abandons a suspended
-  /// route generator (e.g. SGL swaps the RV route for an ESST route).
-  void clear_trails() { trails_.clear(); }
-
  private:
   const Graph* g_;
   Node cur_;

@@ -221,15 +221,10 @@ struct Walked {
   std::uint64_t total = 0;
 };
 
-/// Pulls `count` moves of the route under an outer TrailScope. After the
-/// `touch_at`-th move (if any) the caller itself moves the walker while the
-/// route is suspended, as SGL does when it runs ESST mid-route: it takes
-/// `detour` (port indices, reduced modulo the degree) and, if `closed`,
-/// backtracks them.
+/// Pulls `count` moves of the route under an outer TrailScope.
 Walked walk(const Graph& g, Node start,
             const std::function<Generator<Move>(Walker&)>& make,
-            std::size_t count, std::size_t touch_at = 0,
-            const std::vector<Port>& detour = {}, bool closed = false) {
+            std::size_t count) {
   Walker w(g, start);
   Trail outer;
   Walked out;
@@ -238,16 +233,6 @@ Walked walk(const Graph& g, Node start,
     auto route = make(w);
     while (out.moves.size() < count && route.next()) {
       out.moves.push_back(route.value());
-      if (out.moves.size() != touch_at) continue;
-      Trail taken;
-      {
-        TrailScope detour_scope(w, taken);
-        for (const Port p : detour) w.take(p % w.degree());
-      }
-      if (!closed) continue;
-      auto back = follow_reverse(w, taken);
-      while (back.next()) {
-      }
     }
   }
   out.outer = outer.entry_ports;
@@ -315,34 +300,6 @@ TEST(Traj, BaseAboveReplayCapIsRegenerated) {
       walk(g, 0, [&](Walker& w) { return follow_B(w, kit, k); }, 2 * period);
   expect_same_walk(got, want);
   EXPECT_EQ(got.end, 0u);
-}
-
-TEST(Traj, CallerMovesWhileSuspendedMatchRegeneration) {
-  // Regeneration records the caller's moves in the base's open trails and
-  // later backtracks them; replay must do the same wherever they happen:
-  // in the recorded first period, in a replayed one, at a period boundary,
-  // as a closed detour or one that leaves the walker elsewhere.
-  TrajKit kit(micro(), 0x1b);
-  Graph g = make_grid(2, 3);
-  const std::vector<Port> detour = {1, 0, 2, 1};
-  for (const Repeated& t : kRepeated) {
-    const std::uint64_t k = 2;
-    const std::size_t period = (kit.lengths().*t.base_len)(k).to_u64_clamped();
-    const std::size_t count = 4 * period;
-    const auto make_ref = [&](Walker& w) {
-      return regenerated(w, 8, [&](Walker& on) { return t.base(on, kit, k); });
-    };
-    const auto make = [&](Walker& w) { return t.route(w, kit, k); };
-    for (const bool closed : {true, false}) {
-      for (std::size_t at = 1; at <= 3 * period; ++at) {
-        const auto want = walk(g, 0, make_ref, count, at, detour, closed);
-        const auto got = walk(g, 0, make, count, at, detour, closed);
-        SCOPED_TRACE(std::string(t.name) + (closed ? " closed" : " open") +
-                     " detour after move " + std::to_string(at));
-        expect_same_walk(got, want);
-      }
-    }
-  }
 }
 
 TEST(Traj, TrailRecordsEntryPortsAndReverses) {
