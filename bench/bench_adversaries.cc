@@ -27,19 +27,23 @@ int main(int argc, char** argv) {
   // The shared E9 battery definition (runner/registry.h) — the same specs
   // `rv_cli daemon sweep e9` submits, so daemon and batch runs fingerprint
   // (and cache) identically.
+  runner::PipelineOptions opts = cli.options();
+  runner::CollectorSink table;
+  opts.sinks.push_back(&table);
   const runner::PipelineReport report =
-      runner::ExperimentPipeline(cli.options()).run(runner::e9_battery());
+      runner::ExperimentPipeline(opts).run(runner::e9_battery());
+  const auto& [sweep, sweep_rows] = table.last();
 
   runner::ConsoleSink console;
   const runner::Pivot matrix =
-      runner::pivot(report.schema, report.rows, "graph", "adversary",
-                    runner::cost_or_status(report.schema));
+      runner::pivot(sweep, sweep_rows, "graph", "adversary",
+                    runner::cost_or_status(sweep));
   runner::emit(console, matrix.schema, matrix.rows);
 
   std::cout << "\nper-adversary rollup (max_met_cost = worst schedule damage "
                "among meetings):\n";
-  const auto [schema, rows] =
-      runner::group_table("adversary", report.group_by("adversary"));
+  const auto [schema, rows] = runner::group_table(
+      "adversary", runner::group_by(sweep, sweep_rows, "adversary"));
   runner::emit(console, schema, rows);
 
   std::cout << "\n" << report.summary() << "\n";

@@ -67,28 +67,31 @@ int main(int argc, char** argv) {
     }
   }
 
+  runner::PipelineOptions opts = cli.options();
+  runner::CollectorSink table;
+  opts.sinks.push_back(&table);
   const runner::PipelineReport report =
-      runner::ExperimentPipeline(cli.options()).run(std::move(specs));
+      runner::ExperimentPipeline(opts).run(std::move(specs));
+  const auto& [schema, rows] = table.last();
 
   runner::ConsoleSink console;
-  const auto cost_or_status = runner::cost_or_status(report.schema);
-  const auto rows_slice = [&report](std::size_t begin, std::size_t end) {
-    return std::vector<runner::Row>(report.rows.begin() +
-                                        static_cast<std::ptrdiff_t>(begin),
-                                    report.rows.begin() +
-                                        static_cast<std::ptrdiff_t>(end));
+  const auto cost_or_status = runner::cost_or_status(schema);
+  const auto rows_slice = [&rows](std::size_t begin, std::size_t end) {
+    return std::vector<runner::Row>(
+        rows.begin() + static_cast<std::ptrdiff_t>(begin),
+        rows.begin() + static_cast<std::ptrdiff_t>(end));
   };
 
   std::cout << "(a) cost vs n, labels (6, 17):\n";
   const runner::Pivot by_size =
-      runner::pivot(report.schema, rows_slice(0, part_b_begin), "graph",
+      runner::pivot(schema, rows_slice(0, part_b_begin), "graph",
                     "adversary", cost_or_status);
   runner::emit(console, by_size.schema, by_size.rows);
 
   std::cout << "\n(b) cost vs |L_min| on ring(6) (smaller label = 2^b + 1):\n";
   const runner::Pivot by_label =
-      runner::pivot(report.schema, rows_slice(part_b_begin, report.rows.size()),
-                    "name", "adversary", cost_or_status);
+      runner::pivot(schema, rows_slice(part_b_begin, rows.size()), "name",
+                    "adversary", cost_or_status);
   runner::emit(console, by_label.schema, by_label.rows);
 
   std::cout << "\n" << report.summary() << "\n";

@@ -77,12 +77,15 @@ int main(int argc, char** argv) {
       specs.push_back({.name = "", .scenario = std::move(rv)});
     }
   }
+  runner::PipelineOptions opts = cli.options();
+  runner::CollectorSink table;
+  opts.sinks.push_back(&table);
   const runner::PipelineReport report =
-      runner::ExperimentPipeline(cli.options()).run(std::move(specs));
+      runner::ExperimentPipeline(opts).run(std::move(specs));
+  const auto& [schema, rows] = table.last();
 
-  const runner::Pivot arms =
-      runner::pivot(report.schema, report.rows, "labels", "algo",
-                    runner::cost_or_status(report.schema));
+  const runner::Pivot arms = runner::pivot(schema, rows, "labels", "algo",
+                                           runner::cost_or_status(schema));
   runner::emit(console, arms.schema, arms.rows);
 
   std::cout << "\nBoth meet under this schedule; the separation is in the "

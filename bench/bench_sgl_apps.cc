@@ -64,12 +64,12 @@ int main(int argc, char** argv) {
   specs.push_back(sgl_spec("star:5", {40, 12, 33, 7}, 0xE81));
 
   const runner::PipelineReport report =
-      runner::ExperimentPipeline(cli.options()).run(std::move(specs));
+      runner::ExperimentPipeline(cli.options()).run(specs);
 
   runner::ConsoleSink console;
   bool all_verified = true;
-  const auto labels_of = [&report](std::size_t i) {
-    return report.specs[i].sgl()->labels;
+  const auto labels_of = [&specs](std::size_t i) {
+    return specs[i].sgl()->labels;
   };
   std::size_t i = 0;
 

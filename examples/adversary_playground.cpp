@@ -35,8 +35,9 @@ int main() {
     rv.budget = 50'000'000;
     specs.push_back({.name = "", .scenario = std::move(rv)});
   }
+  runner::CollectorSink table;
   const runner::PipelineReport report =
-      runner::ExperimentPipeline().run(std::move(specs));
+      runner::ExperimentPipeline({.sinks = {&table}}).run(std::move(specs));
 
   const Graph g = runner::make_graph(graph_id);
   std::cout << "Adversary ablation on a lollipop graph (" << g.summary()
@@ -45,7 +46,7 @@ int main() {
   // The per-strategy slice of the sweep table, through the Console sink.
   runner::ConsoleSink console;
   const auto [schema, rows] = runner::select(
-      report.schema, report.rows,
+      table.last().schema, table.last().rows,
       {"adversary", "status", "cost", "traversals_a", "traversals_b"});
   runner::emit(console, schema, rows);
 

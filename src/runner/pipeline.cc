@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -24,14 +25,6 @@ std::string labels_text(const ExperimentSpec& spec) {
     out += std::to_string(label);
   }
   return out;
-}
-
-std::size_t column_index(const Schema& schema, const std::string& name) {
-  for (std::size_t c = 0; c < schema.size(); ++c) {
-    if (schema[c].name == name) return c;
-  }
-  ASYNCRV_CHECK_MSG(false, "unknown sweep column: " + name);
-  return 0;
 }
 
 /// Folds one scenario into a rollup — the single definition of the
@@ -54,17 +47,10 @@ void accumulate(GroupStats& g, const std::string& status, std::uint64_t cost) {
   if (cost > g.max_cost) g.max_cost = cost;
 }
 
-/// Marks an outcome errored after its on_outcome callback threw (legacy
-/// containment semantics: the error is recorded, never escapes a worker).
-void record_callback_error(ExperimentOutcome& out, const std::exception& e) {
-  out.error += (out.error.empty() ? "" : "; ");
-  out.error += std::string("on_outcome callback threw: ") + e.what();
-  out.status = RunStatus::Error;
-}
-
 /// The pipeline's registry instruments, resolved once per process
 /// (DESIGN.md §11 naming scheme). Counters are bumped per cell; stage
-/// histograms observe one wall-clock sample per run per stage.
+/// histograms observe one wall-clock sample per run per stage, except the
+/// sink stage: one sample per sink call (begin, each row, end).
 struct PipelineInstruments {
   obs::Counter& runs = obs::metrics().counter("pipeline.runs");
   obs::Counter& cells = obs::metrics().counter("pipeline.cells");
@@ -268,11 +254,12 @@ std::string PipelineReport::summary() const {
   return os.str();
 }
 
-std::vector<GroupStats> PipelineReport::group_by(
-    const std::string& column) const {
-  const std::size_t key = column_index(schema, column);
-  const std::size_t status = column_index(schema, "status");
-  const std::size_t cost = column_index(schema, "cost");
+std::vector<GroupStats> group_by(const Schema& schema,
+                                 const std::vector<Row>& rows,
+                                 const std::string& column) {
+  const std::size_t key = column_of(schema, column);
+  const std::size_t status = column_of(schema, "status");
+  const std::size_t cost = column_of(schema, "cost");
 
   std::vector<GroupStats> groups;
   for (const Row& r : rows) {
@@ -322,35 +309,49 @@ PipelineReport ExperimentPipeline::run(std::vector<ExperimentSpec> specs) const 
 
   ProgressMeter progress(options_.progress, specs.size());
 
-  // The commit cursor: outcomes are committed — stored, then delivered to
-  // on_outcome — strictly in spec order, cache hits included, whatever
-  // order the workers finish them in. So the cache's segment bytes and the
-  // streamed order are independent of scheduling. Whoever marks outcomes
-  // ready while nobody holds the cursor takes it and commits the ready
-  // prefix; a worker that finds it held leaves its outcomes to the holder.
+  // The sinks see one table: its header now, a row per committed outcome,
+  // and its end after the flush.
+  const std::vector<ResultSink*>& sinks = options_.sinks;
+  {
+    const StageTimer stage("pipeline.sink", in.sink_ns);
+    for (ResultSink* sink : sinks) sink->begin(sweep_schema());
+  }
+
+  // The commit cursor: outcomes are committed — stored, then streamed to
+  // the sinks as sweep rows — strictly in spec order, cache hits included,
+  // whatever order the workers finish them in. So the cache's segment bytes
+  // and the streamed order are independent of scheduling. Whoever marks
+  // outcomes ready while nobody holds the cursor takes it and commits the
+  // ready prefix; a worker that finds it held leaves its outcomes to the
+  // holder — so only the holder touches the sinks, one call at a time.
   enum : std::uint8_t { kPending, kServed, kExecuted };
   std::vector<std::uint8_t> state(specs.size(), kPending);
   std::mutex commit_mutex;
   std::size_t cursor = 0;
   bool cursor_held = false;
-  // Store before the callback (a throwing callback is an environmental
-  // failure of THIS run — and the shard driver's kill_after counts on
-  // every delivered outcome being stored) and never store transient
-  // errors: both would poison the cache with failures a re-run could
-  // avoid. A throwing callback is recorded on the outcome instead.
+  // The first exception a sink threw; rows stop there, the batch does not.
+  std::exception_ptr sink_error;
+  report.totals.key = "all";
+  // Store before the row (a throwing sink is an environmental failure of
+  // THIS run, and the shard worker's kill-after sink counts on every row
+  // it sees being stored) and never store transient errors: both would
+  // poison the cache with failures a re-run could avoid.
   const auto commit = [&](std::size_t i, bool executed) {
-    ExperimentOutcome& out = report.outcomes[i];
+    const ExperimentOutcome& out = report.outcomes[i];
     if (executed && options_.cache && !out.transient_error) {
       const StageTimer store_stage("cache.store", in.store_ns);
       options_.cache->store(specs[i], out);
     }
-    if (options_.on_outcome) {
+    if (!sinks.empty() && !sink_error) {
+      const StageTimer stage("pipeline.sink", in.sink_ns);
       try {
-        options_.on_outcome(specs[i], out);
-      } catch (const std::exception& e) {
-        record_callback_error(out, e);
+        const Row row = sweep_row(specs[i], out);
+        for (ResultSink* sink : sinks) sink->row(row);
+      } catch (...) {
+        sink_error = std::current_exception();
       }
     }
+    accumulate(report.totals, out.status_label(), out.cost);
     if (executed) in.executed.add(1);
     in.outcomes.add(1);
     progress.tick();
@@ -483,24 +484,10 @@ PipelineReport ExperimentPipeline::run(std::vector<ExperimentSpec> specs) const 
   }
 
   report.graph_stats = graphs->stats();
-
-  // Phase 3 — rows, aggregates and sinks, all in spec order: independent of
-  // scheduling and of the hit/miss split, so the emitted bytes are
-  // identical across thread counts and cache states.
-  report.specs = std::move(specs);
-  report.schema = sweep_schema();
-  report.rows.reserve(report.specs.size());
-  report.totals.key = "all";
-  for (std::size_t i = 0; i < report.specs.size(); ++i) {
-    const ExperimentOutcome& out = report.outcomes[i];
-    report.rows.push_back(sweep_row(report.specs[i], out));
-    accumulate(report.totals, out.status_label(), out.cost);
-  }
+  if (sink_error) std::rethrow_exception(sink_error);
   {
     const StageTimer stage("pipeline.sink", in.sink_ns);
-    for (ResultSink* sink : options_.sinks) {
-      if (sink) emit(*sink, report.schema, report.rows);
-    }
+    for (ResultSink* sink : sinks) sink->end();
   }
   return report;
 }

@@ -3,24 +3,25 @@
 // The pipeline turns a batch of ExperimentSpecs into a PipelineReport:
 //
 //   specs -> fingerprints -> cache lookups -> thread-pooled execution of
-//   the misses -> cache stores -> typed result rows -> sinks + aggregates.
+//   the misses -> commit cursor (cache store, then one sweep row handed to
+//   every sink) -> flush -> totals.
 //
 // Every scenario is a pure function of its spec, outcomes are committed
-// (stored, then streamed) and reported in spec order, and cached outcomes
+// (stored, then streamed to the sinks) in spec order, and cached outcomes
 // round-trip exactly — so the report (including every byte a sink
 // receives) is identical for every thread count and for any cold/warm cache
 // split of the same batch, and so are the cache segment bytes of a cold
 // run. tests/pipeline_test.cc, tests/cache_test.cc and tests/pack_test.cc
 // enforce these properties.
 //
-// Aggregation lives here, not in the harnesses: the report carries overall
-// totals (errored scenarios excluded from cost aggregates — they ran no
-// meaningful simulation) and computes per-column group rollups on demand
-// (group_by("adversary") is E9's "worst cost per adversary" table).
+// The report keeps outcomes and totals, not the table: a harness that
+// pivots or groups rows collects them with a CollectorSink. Errored
+// scenarios never count toward cost aggregates (they ran no meaningful
+// simulation), in the totals and in group_by alike (group_by over the
+// "adversary" column is E9's "worst cost per adversary" table).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,13 +55,7 @@ Schema sweep_schema();
 Row sweep_row(const ExperimentSpec& spec, const ExperimentOutcome& outcome);
 
 struct PipelineReport {
-  std::vector<ExperimentSpec> specs;
-  std::vector<ExperimentOutcome> outcomes;  ///< index-aligned with specs
-
-  /// The typed table emitted to the sinks (sweep_schema / one sweep_row per
-  /// scenario, in spec order).
-  Schema schema;
-  std::vector<Row> rows;
+  std::vector<ExperimentOutcome> outcomes;  ///< index-aligned with the specs
 
   GroupStats totals;             ///< whole-batch rollup (key "all")
   std::uint64_t cache_hits = 0;  ///< outcomes served from the sweep cache
@@ -79,11 +74,14 @@ struct PipelineReport {
 
   /// One-line "N scenarios: S ok, U unresolved, E errors, total cost C".
   std::string summary() const;
-
-  /// Rollups keyed by a sweep-table column ("graph", "adversary", "algo",
-  /// ...), in first-appearance order.
-  std::vector<GroupStats> group_by(const std::string& column) const;
 };
+
+/// Rollups of a sweep table keyed by one of its columns ("graph",
+/// "adversary", "algo", ...), in first-appearance order — the same rules
+/// as PipelineReport::totals.
+std::vector<GroupStats> group_by(const Schema& schema,
+                                 const std::vector<Row>& rows,
+                                 const std::string& column);
 
 /// (schema, rows) rendering of rollups, for any sink. `key_name` labels the
 /// first column (e.g. "adversary").
@@ -94,7 +92,9 @@ struct PipelineOptions {
   /// Worker threads; 0 = hardware concurrency (at least 1). The batch is
   /// additionally capped to one thread per cache-missing scenario.
   int threads = 0;
-  /// Sinks that receive the sweep table (non-owning; may be empty).
+  /// Sinks the sweep table streams to (non-owning; may be empty). Once a
+  /// sink throws no sink gets another row; the batch still runs and is
+  /// stored, and run() rethrows after the cache flush.
   std::vector<ResultSink*> sinks;
   /// Optional persistent sweep cache (non-owning). Hits skip execution;
   /// misses are executed and stored back.
@@ -119,15 +119,6 @@ struct PipelineOptions {
   /// (served or executed). Off by default — stderr chatter only; the
   /// report and every sink byte are unaffected either way.
   bool progress = false;
-  /// Streamed per-outcome callback, invoked once per scenario in spec
-  /// order (cache hits included) as soon as it and every earlier scenario
-  /// have finished or been loaded; calls are serialized. Each executed
-  /// outcome is stored to the cache before its callback, so a callback
-  /// sees a committed prefix. A throw is contained and marks the outcome
-  /// errored — after the outcome was cached, so environmental callback
-  /// failures never poison the cache.
-  std::function<void(const ExperimentSpec&, const ExperimentOutcome&)>
-      on_outcome;
 };
 
 class ExperimentPipeline {

@@ -41,6 +41,27 @@ std::string read_to_eof(int fd) {
   }
 }
 
+/// run_shard's fault injection: at the `after`-th streamed row (each one
+/// stored before it arrives), flush exactly that prefix and die the hard way.
+class KillAfter final : public ResultSink {
+ public:
+  KillAfter(const SweepCache& cache, std::uint64_t after)
+      : cache_(cache), after_(after) {}
+  void begin(const Schema&) override {}
+  void row(const Row&) override {
+    if (++rows_ < after_) return;
+    cache_.flush();
+    ::kill(::getpid(), SIGKILL);
+    ::pause();  // unreachable; SIGKILL cannot be handled
+  }
+  void end() override {}
+
+ private:
+  const SweepCache& cache_;
+  const std::uint64_t after_;
+  std::uint64_t rows_ = 0;
+};
+
 /// Closes the workers' read ends opened so far, then throws.
 [[noreturn]] void fail(const std::vector<int>& read_fds, const char* what) {
   for (const int fd : read_fds) ::close(fd);
@@ -88,7 +109,6 @@ ShardWorkerStats run_shard(const std::vector<ExperimentSpec>& specs,
   popts.batch = options.batch;
   popts.batch_size = options.batch_size;
   popts.progress = options.progress;
-  std::uint64_t delivered = 0;
   if (options.kill_after > 0) {
     // Deterministic fault injection: single-threaded, explicit-flush-only,
     // so outcomes commit strictly in shard order and the durable prefix at
@@ -109,16 +129,8 @@ ShardWorkerStats run_shard(const std::vector<ExperimentSpec>& specs,
   {
     SweepCache cache(options.cache_dir, copts);
     popts.cache = &cache;
-    if (options.kill_after > 0) {
-      popts.on_outcome = [&](const ExperimentSpec&,
-                             const ExperimentOutcome&) {
-        if (++delivered < options.kill_after) return;
-        // Commit exactly this prefix, then die the hard way.
-        cache.flush();
-        ::kill(::getpid(), SIGKILL);
-        ::pause();  // unreachable; SIGKILL cannot be handled
-      };
-    }
+    KillAfter killer(cache, options.kill_after);
+    if (options.kill_after > 0) popts.sinks.push_back(&killer);
     ExperimentPipeline(popts).run(std::move(mine));
   }
   for (std::size_t i = 0; i < std::size(kCountedFields); ++i) {

@@ -15,10 +15,10 @@
 //
 // The merge/verify step is deliberately NOT a file-level merge: the caller
 // re-runs the full batch through one pipeline against the now-warm cache.
-// Pipeline determinism (rows in spec order, outcomes round-tripping
-// exactly) then guarantees the merged report is byte-identical to a
-// single-process run — at any shard count — and the re-run doubles as the
-// verification that every cell was committed (executed == 0).
+// Pipeline determinism (rows streamed in spec order, outcomes
+// round-tripping exactly) then guarantees the merged sink bytes are
+// identical to a single-process run — at any shard count — and the re-run
+// doubles as the verification that every cell was committed (executed == 0).
 #pragma once
 
 #include <cstdint>
@@ -61,18 +61,19 @@ struct ShardWorkerOptions {
   std::size_t batch_size = 256;
   bool progress = false;
   /// Fault injection for the resumption acceptance test: after this many
-  /// outcomes have been delivered, flush the cache and SIGKILL the process
+  /// rows have streamed, flush the cache and SIGKILL the process
   /// (0 = never). Forces threads=1 and explicit-flush-only mode so the
   /// committed prefix is exactly `kill_after` cells, deterministically.
   std::uint64_t kill_after = 0;
 };
 
 /// Runs `shard` (indices into `specs`) through a batched pipeline against
-/// its own SweepCache object on the shared directory. No sinks: workers
-/// only populate the cache; rows are rendered by the merge run. The counted
-/// stats are registry deltas across the cache object's whole life (its
-/// closing seal included), so nothing else may drive a pipeline or a sweep
-/// cache in this process meanwhile.
+/// its own SweepCache object on the shared directory. No sinks (bar the
+/// kill_after counter): workers only populate the cache and build no rows;
+/// rows are rendered by the merge run. The counted stats are registry
+/// deltas across the cache object's whole life (its closing seal included),
+/// so nothing else may drive a pipeline or a sweep cache in this process
+/// meanwhile.
 ShardWorkerStats run_shard(const std::vector<ExperimentSpec>& specs,
                            const std::vector<std::size_t>& shard,
                            const ShardWorkerOptions& options);

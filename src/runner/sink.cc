@@ -191,16 +191,19 @@ void emit(ResultSink& sink, const Schema& schema, const std::vector<Row>& rows) 
   sink.end();
 }
 
-const Value& cell(const Schema& schema, const Row& row,
-                  const std::string& name) {
+std::size_t column_of(const Schema& schema, const std::string& name) {
   for (std::size_t c = 0; c < schema.size(); ++c) {
-    if (schema[c].name == name) {
-      ASYNCRV_CHECK(c < row.size());
-      return row[c];
-    }
+    if (schema[c].name == name) return c;
   }
   ASYNCRV_CHECK_MSG(false, "unknown column: " + name);
-  return row.front();  // unreachable
+  return 0;  // unreachable
+}
+
+const Value& cell(const Schema& schema, const Row& row,
+                  const std::string& name) {
+  const std::size_t c = column_of(schema, name);
+  ASYNCRV_CHECK(c < row.size());
+  return row[c];
 }
 
 std::pair<Schema, std::vector<Row>> select(
@@ -209,16 +212,8 @@ std::pair<Schema, std::vector<Row>> select(
   std::vector<std::size_t> picked;
   Schema out_schema;
   for (const std::string& name : columns) {
-    bool found = false;
-    for (std::size_t c = 0; c < schema.size(); ++c) {
-      if (schema[c].name == name) {
-        picked.push_back(c);
-        out_schema.push_back(schema[c]);
-        found = true;
-        break;
-      }
-    }
-    ASYNCRV_CHECK_MSG(found, "unknown column: " + name);
+    picked.push_back(column_of(schema, name));
+    out_schema.push_back(schema[picked.back()]);
   }
   std::vector<Row> out_rows;
   out_rows.reserve(rows.size());
@@ -234,13 +229,8 @@ std::pair<Schema, std::vector<Row>> select(
 Pivot pivot(const Schema& schema, const std::vector<Row>& rows,
             const std::string& row_col, const std::string& col_col,
             const std::function<std::string(const Row&)>& cell) {
-  std::size_t ri = schema.size(), ci = schema.size();
-  for (std::size_t c = 0; c < schema.size(); ++c) {
-    if (schema[c].name == row_col) ri = c;
-    if (schema[c].name == col_col) ci = c;
-  }
-  ASYNCRV_CHECK_MSG(ri < schema.size() && ci < schema.size(),
-                    "pivot: unknown column");
+  const std::size_t ri = column_of(schema, row_col);
+  const std::size_t ci = column_of(schema, col_col);
 
   std::vector<std::string> row_keys, col_keys;
   std::map<std::string, std::size_t> row_idx, col_idx;

@@ -1,19 +1,21 @@
 // Pluggable result sinks — where experiment reports go.
 //
 // A report is a typed table: a Schema of named, typed columns and one Row
-// of Values per scenario (or per aggregate group). The pipeline emits the
-// sweep table to every configured sink in spec order, so what a sink
-// receives is bit-identical across thread counts and across cached vs.
-// executed runs. Sinks:
+// of Values per scenario (or per aggregate group). Sinks are the pipeline's
+// one streaming interface: begin(sweep_schema()) before any scenario runs,
+// each row at the commit cursor in spec order, end() after the cache flush
+// — so what a sink receives is bit-identical across thread counts and
+// across cached vs. executed runs. Rows come from pool threads but never
+// concurrently, so a sink needs no lock. Sinks:
 //
 //  * ConsoleSink   — aligned human-readable table (buffers, renders at end);
 //  * CsvSink       — RFC-4180-style CSV with a header row;
 //  * JsonlSink     — one JSON object per row (the machine interchange and
 //                    cache-verification format: byte-stable for equal rows);
-//  * CollectorSink — in-memory schema+rows, for tests and programmatic use.
+//  * CollectorSink — in-memory schema+rows, to pivot or group afterwards.
 //
 // To send one sweep to several sinks, list them all in
-// PipelineOptions::sinks; the pipeline fans each emission out itself.
+// PipelineOptions::sinks; the pipeline fans each row out itself.
 //
 // A sink may receive several tables over its lifetime (begin/rows/end per
 // table) — e.g. a sweep table followed by aggregate rollups. The free
@@ -142,6 +144,10 @@ std::string jsonl_line(const Schema& schema, const Row& row);
 
 /// Sends one whole table through a sink: begin, every row, end.
 void emit(ResultSink& sink, const Schema& schema, const std::vector<Row>& rows);
+
+/// The position of the column named `name` (CHECK: column exists) — the
+/// one schema lookup behind cell, select, pivot and group_by.
+std::size_t column_of(const Schema& schema, const std::string& name);
 
 /// The cell of `row` under the column named `name` (CHECK: column exists).
 const Value& cell(const Schema& schema, const Row& row,

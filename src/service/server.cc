@@ -147,8 +147,34 @@ void Server::worker_main() {
 void Server::run_job(const Job& job) {
   const obs::ObsSpan span("daemon.job", "daemon");
   const auto job_start = std::chrono::steady_clock::now();
-  const std::size_t n = job.specs.size();
-  const runner::Schema schema = runner::sweep_schema();
+
+  // The pipeline streams rows in spec order — what the wire promises, and
+  // what makes the stream byte-comparable to a JSONL file of the same run —
+  // so each row goes out as it arrives, its event line read off its cells.
+  class JobStream final : public runner::ResultSink {
+   public:
+    JobStream(Server& server, const Job& job) : server_(server), job_(job) {}
+    void begin(const runner::Schema& schema) override { schema_ = schema; }
+    void row(const runner::Row& row) override {
+      const auto col = [&](const char* name) {
+        return runner::render_value(runner::cell(schema_, row, name));
+      };
+      DaemonInstruments::get().rows_streamed.add(1);
+      server_.post(job_.conn_gen, "row " + runner::jsonl_line(schema_, row));
+      server_.post(0, "event job=" + std::to_string(job_.id) +
+                          " index=" + col("index") +
+                          " of=" + std::to_string(job_.specs.size()) +
+                          " status=" + col("status") +
+                          " fingerprint=" + col("fingerprint") + "\n");
+    }
+    void end() override {}
+
+   private:
+    Server& server_;
+    const Job& job_;
+    runner::Schema schema_;
+  };
+  JobStream stream(*this, job);
 
   runner::PipelineOptions popts;
   popts.threads = options_.threads_per_job;
@@ -156,26 +182,7 @@ void Server::run_job(const Job& job) {
   popts.graph_cache = &graphs_;
   popts.batch = options_.batch;
   popts.batch_size = options_.batch_size;
-  // The pipeline delivers outcomes in spec order — what the wire promises,
-  // and what makes the stream byte-comparable to a JSONL file of the same
-  // run — so each row streams as soon as it arrives.
-  popts.on_outcome = [&](const runner::ExperimentSpec& spec,
-                         const runner::ExperimentOutcome& outcome) {
-    // The pipeline serializes this callback; a throw would mark the
-    // outcome errored, so everything here is best-effort.
-    try {
-      std::string row =
-          "row " + runner::jsonl_line(schema, runner::sweep_row(spec, outcome));
-      DaemonInstruments::get().rows_streamed.add(1);
-      post(job.conn_gen, std::move(row));
-      post(0, "event job=" + std::to_string(job.id) +
-                  " index=" + std::to_string(outcome.index) +
-                  " of=" + std::to_string(n) + " status=" +
-                  outcome.status_label() +
-                  " fingerprint=" + spec.fingerprint().hex() + "\n");
-    } catch (...) {
-    }
-  };
+  popts.sinks = {&stream};
 
   std::string tail;
   try {

@@ -61,6 +61,8 @@ TEST(BatchPipeline, GoldenBatteryIsBitIdenticalToScalar) {
 
   runner::PipelineOptions scalar;
   scalar.threads = 4;
+  runner::CollectorSink scalar_table;
+  scalar.sinks = {&scalar_table};
   runner::PipelineReport scalar_report;
   const std::string scalar_jsonl = run_to_jsonl(specs, scalar, &scalar_report);
   EXPECT_EQ(scalar_report.batched, 0u);
@@ -68,6 +70,8 @@ TEST(BatchPipeline, GoldenBatteryIsBitIdenticalToScalar) {
   runner::PipelineOptions batched;
   batched.threads = 4;
   batched.batch = true;
+  runner::CollectorSink batch_table;
+  batched.sinks = {&batch_table};
   runner::PipelineReport batch_report;
   const std::string batch_jsonl = run_to_jsonl(specs, batched, &batch_report);
 
@@ -77,7 +81,7 @@ TEST(BatchPipeline, GoldenBatteryIsBitIdenticalToScalar) {
   // Status, charged cost, traversal split, fingerprints — every rendered
   // byte of every row.
   EXPECT_EQ(batch_jsonl, scalar_jsonl);
-  ASSERT_EQ(batch_report.rows.size(), scalar_report.rows.size());
+  ASSERT_EQ(batch_table.last().rows.size(), scalar_table.last().rows.size());
   EXPECT_EQ(batch_report.totals.succeeded, scalar_report.totals.succeeded);
   EXPECT_EQ(batch_report.totals.total_cost, scalar_report.totals.total_cost);
   EXPECT_EQ(batch_report.totals.max_cost, scalar_report.totals.max_cost);

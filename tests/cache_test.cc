@@ -546,29 +546,6 @@ TEST(Cache, EnlargedGridOnlyExecutesNewCells) {
   EXPECT_EQ(second.executed, grown.size() - small.size());
 }
 
-TEST(Cache, EnvironmentalFailuresDoNotPoisonTheCache) {
-  // A scenario that ran fine but whose streamed callback threw is
-  // reported as errored for THIS run — yet the cache keeps the clean
-  // outcome (stored before the callback), so the next run is a clean hit.
-  const runner::SweepCache cache(fresh_dir("poison"));
-  const runner::ExperimentSpec spec = rv_spec();
-  runner::PipelineOptions opts;
-  opts.cache = &cache;
-  opts.on_outcome = [](const runner::ExperimentSpec&,
-                       const runner::ExperimentOutcome&) {
-    throw std::runtime_error("progress pipe closed");
-  };
-  const auto first = runner::ExperimentPipeline(opts).run({spec});
-  EXPECT_EQ(first.totals.errored, 1u);
-
-  runner::PipelineOptions clean;
-  clean.cache = &cache;
-  const auto second = runner::ExperimentPipeline(clean).run({spec});
-  EXPECT_EQ(second.executed, 0u);
-  EXPECT_EQ(second.totals.succeeded, 1u);
-  EXPECT_TRUE(second.outcomes[0].error.empty());
-}
-
 TEST(Cache, TruncatedAtCommitEntryDegradesToMissAndHeals) {
   // The crash-durability contract: whatever prefix of a pack record's
   // payload survives a power cut — including zero bytes — is a miss, never

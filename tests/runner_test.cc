@@ -205,14 +205,20 @@ TEST(Runner, HundredScenarioSweepIsThreadCountInvariant) {
 
   runner::PipelineOptions serial;
   serial.threads = 1;
+  runner::CollectorSink base_table;
+  serial.sinks = {&base_table};
   const runner::PipelineReport base =
       runner::ExperimentPipeline(serial).run(specs);
+  const std::vector<runner::Row>& base_rows = base_table.last().rows;
 
   for (int threads : {2, 4}) {
     runner::PipelineOptions opts;
     opts.threads = threads;
+    runner::CollectorSink par_table;
+    opts.sinks = {&par_table};
     const runner::PipelineReport par =
         runner::ExperimentPipeline(opts).run(specs);
+    const std::vector<runner::Row>& par_rows = par_table.last().rows;
     ASSERT_EQ(par.outcomes.size(), base.outcomes.size());
     for (std::size_t i = 0; i < base.outcomes.size(); ++i) {
       expect_identical(base.outcomes[i], par.outcomes[i],
@@ -227,11 +233,11 @@ TEST(Runner, HundredScenarioSweepIsThreadCountInvariant) {
     EXPECT_EQ(par.totals.total_cost, base.totals.total_cost);
     EXPECT_EQ(par.totals.max_cost, base.totals.max_cost);
     EXPECT_EQ(par.summary(), base.summary());
-    ASSERT_EQ(par.rows.size(), base.rows.size());
-    for (std::size_t i = 0; i < base.rows.size(); ++i) {
-      for (std::size_t c = 0; c < base.rows[i].size(); ++c) {
-        EXPECT_EQ(runner::render_value(par.rows[i][c]),
-                  runner::render_value(base.rows[i][c]))
+    ASSERT_EQ(par_rows.size(), base_rows.size());
+    for (std::size_t i = 0; i < base_rows.size(); ++i) {
+      for (std::size_t c = 0; c < base_rows[i].size(); ++c) {
+        EXPECT_EQ(runner::render_value(par_rows[i][c]),
+                  runner::render_value(base_rows[i][c]))
             << "row " << i << " @" << threads;
       }
     }

@@ -77,12 +77,12 @@ TEST(SearchPipeline, BadSearchSpecsAreContainedErrors) {
 
 TEST(SearchPipeline, SweepRowCarriesSearchColumns) {
   const runner::ExperimentSpec spec = search_spec("ring:6", 3, "rv-cost", 30);
-  const runner::PipelineReport report =
-      runner::ExperimentPipeline().run({spec});
-  ASSERT_EQ(report.rows.size(), 1u);
+  runner::CollectorSink table;
+  runner::ExperimentPipeline({.sinks = {&table}}).run({spec});
+  const auto& [schema, rows] = table.last();
+  ASSERT_EQ(rows.size(), 1u);
   const auto col = [&](const std::string& name) {
-    return runner::render_value(
-        runner::cell(report.schema, report.rows[0], name));
+    return runner::render_value(runner::cell(schema, rows[0], name));
   };
   EXPECT_EQ(col("kind"), "search");
   EXPECT_EQ(col("adversary"), "search:hill");
@@ -133,8 +133,11 @@ TEST(SearchPipeline, SearchedAdversaryBeatsTheCatalogAndReplaysExactly) {
 
     runner::PipelineOptions opts;
     opts.cache = &cache;
+    runner::CollectorSink cold_table;
+    opts.sinks = {&cold_table};
     const runner::PipelineReport cold =
         runner::ExperimentPipeline(opts).run({spec});
+    const std::vector<runner::Row>& cold_rows = cold_table.last().rows;
     ASSERT_EQ(cold.executed, 1u) << c.graph;
     const runner::ExperimentOutcome& out = cold.outcomes.front();
     ASSERT_TRUE(out.ok()) << c.graph << ": " << out.error;
@@ -178,14 +181,17 @@ TEST(SearchPipeline, SearchedAdversaryBeatsTheCatalogAndReplaysExactly) {
     }
 
     // Warm re-run: served from cache, zero executions, identical rows.
+    runner::CollectorSink warm_table;
+    opts.sinks = {&warm_table};
     const runner::PipelineReport warm =
         runner::ExperimentPipeline(opts).run({spec});
+    const std::vector<runner::Row>& warm_rows = warm_table.last().rows;
     EXPECT_EQ(warm.cache_hits, 1u) << c.graph;
     EXPECT_EQ(warm.executed, 0u) << c.graph;
-    ASSERT_EQ(warm.rows.size(), cold.rows.size());
-    for (std::size_t col = 0; col < cold.rows[0].size(); ++col) {
-      EXPECT_EQ(runner::render_value(warm.rows[0][col]),
-                runner::render_value(cold.rows[0][col]))
+    ASSERT_EQ(warm_rows.size(), cold_rows.size());
+    for (std::size_t col = 0; col < cold_rows[0].size(); ++col) {
+      EXPECT_EQ(runner::render_value(warm_rows[0][col]),
+                runner::render_value(cold_rows[0][col]))
           << c.graph << " col " << col;
     }
   }

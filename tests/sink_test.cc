@@ -1,5 +1,5 @@
 // Result sinks: typed tables, rendering, escaping, composition and the
-// report's group-by aggregation.
+// group-by aggregation over a streamed sweep table.
 #include "runner/sink.h"
 
 #include <gtest/gtest.h>
@@ -114,7 +114,7 @@ TEST(Pivot, CrossTabulatesInFirstAppearanceOrder) {
 }
 
 TEST(GroupBy, RollsUpByColumnExcludingErroredCosts) {
-  // Build a report through the pipeline with one good and one bad spec per
+  // Stream a sweep through the pipeline with one good and one bad spec per
   // graph; per-graph groups must exclude the errored cost.
   runner::RendezvousSpec good;
   good.graph = "ring:4";
@@ -122,9 +122,12 @@ TEST(GroupBy, RollsUpByColumnExcludingErroredCosts) {
   good.budget = 1'000'000;
   runner::RendezvousSpec bad = good;
   bad.labels = {5};  // contained error at run time
-  const runner::PipelineReport report = runner::ExperimentPipeline().run(
-      {{.name = "", .scenario = good}, {.name = "", .scenario = bad}});
-  const auto groups = report.group_by("graph");
+  runner::CollectorSink table;
+  const runner::PipelineReport report =
+      runner::ExperimentPipeline({.sinks = {&table}})
+          .run({{.name = "", .scenario = good}, {.name = "", .scenario = bad}});
+  const auto groups =
+      runner::group_by(table.last().schema, table.last().rows, "graph");
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].key, "ring:4");
   EXPECT_EQ(groups[0].scenarios, 2u);
