@@ -14,6 +14,12 @@
 // scenarios/sec (batch/ rows) and ns per charged agent step (batchstep/
 // rows) with the batched-vs-scalar speedup.
 //
+// The route and splice lanes measure the trajectory layer alone: ns per
+// move pulled straight from rv_route (a fresh route's first 10k moves, and
+// a replay-dominated 2M-move pull), and one leaf pulled through 1 and 8
+// spliced generator links, plus the 8-link forwarding-loop twin (route/
+// and splice/ rows).
+//
 // --json <path> emits BENCH_engine.json (schema asyncrv.bench_engine.v1:
 // scenario, items, seconds, items_per_sec, ns_per_item, git rev), the
 // repo's tracked perf trajectory; CI's perf-smoke job uploads it per
@@ -236,6 +242,57 @@ BenchResult bench_walk2(const std::string& id, const Graph& g,
   return finish("walk2/" + id + "/fair/indexed", eng.total_traversals(), dt);
 }
 
+/// Route lane: ns per move pulled straight from rv_route (label 9, the
+/// pipeline's default `tiny` kit), no engine — the trajectory layer's
+/// share of every traversal. Pulls `prefix` moves from each of `routes`
+/// fresh routes: a 10k prefix is mostly B(2)'s first, generated
+/// repetition of Y(2, v) (3,948 moves) plus route setup; one 2M-move pull
+/// is dominated by replayed repetitions.
+BenchResult bench_route(const std::string& id, const std::string& shape,
+                        std::uint64_t prefix, std::uint64_t routes) {
+  const Graph g = runner::make_graph(id);
+  const TrajKit kit(PPoly::tiny());
+  std::uint64_t items = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t r = 0; r < routes; ++r) {
+    Walker w(g, 0);
+    auto route = rv_route(w, kit, 9, nullptr);
+    while (w.total_moves() < prefix && route.next()) ++items;
+  }
+  const double dt = elapsed_seconds(t0);
+  return finish("route/" + id + "/" + shape, items, dt);
+}
+
+/// `depth` links above an `n`-move leaf that walks around a ring. Each link
+/// splices the one below it or, in the forwarding twin (how trajectories
+/// nested before splicing), re-yields its every move.
+Generator<Move> chain(Walker& w, std::uint64_t n, int depth, bool spliced) {
+  if (depth == 0) {
+    for (std::uint64_t i = 0; i < n; ++i) co_yield w.take(0);
+  } else if (spliced) {
+    co_yield chain(w, n, depth - 1, true);
+  } else {
+    auto below = chain(w, n, depth - 1, false);
+    while (below.next()) co_yield below.value();
+  }
+}
+
+/// Splice lanes: ns per move of one `n`-move leaf pulled through `depth`
+/// links. Spliced, the cost must not grow with depth (one resume per move);
+/// the forwarding twin pays one resume per link.
+BenchResult bench_splice(int depth, bool spliced, std::uint64_t n) {
+  const Graph g = make_ring(16);
+  Walker w(g, 0);
+  auto root = chain(w, n, depth, spliced);
+  std::uint64_t items = 0;
+  const auto t0 = Clock::now();
+  while (root.next()) ++items;
+  const double dt = elapsed_seconds(t0);
+  return finish("splice/depth" + std::to_string(depth) +
+                    (spliced ? "/spliced" : "/forwarded"),
+                items, dt);
+}
+
 /// Batched-sweep lane (DESIGN.md §8): a homogeneous `cells`-cell
 /// rendezvous sweep pushed through the experiment pipeline on ONE worker
 /// thread, once scalar and once with PipelineOptions::batch — the
@@ -293,6 +350,7 @@ constexpr struct {
 } kTwinSuffixes[] = {
     {"/indexed", "/refscan"},
     {"/batched", "/scalar"},
+    {"/spliced", "/forwarded"},
 };
 
 bool ends_with(const std::string& s, const char* suffix) {
@@ -413,6 +471,16 @@ int main(int argc, char** argv) {
     const Graph g = runner::make_graph(id);
     results.push_back(bench_walk2(id, g, route_items));
   }
+
+  // Trajectory lanes: moves pulled from generators without an engine.
+  std::puts("\nroute and splice lanes:");
+  results.push_back(bench_route("torus:16x16", "first10k", 10'000, 200 / scale));
+  results.push_back(
+      bench_route("grid:12x12", "replay2M", 2'000'000 / scale, 1));
+  for (const int depth : {1, 8}) {
+    results.push_back(bench_splice(depth, true, 2'000'000 / scale));
+  }
+  results.push_back(bench_splice(8, false, 2'000'000 / scale));
 
   // Batched-sweep lanes: >=1024 homogeneous cells in full runs, 128 in
   // --quick (CI's perf-smoke still gates batched > scalar there).

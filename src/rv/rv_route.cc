@@ -64,32 +64,23 @@ Generator<Move> rv_route(Walker& w, const TrajKit& kit, std::uint64_t label,
         case RvPart::Segment:
           for (int atom = 0; atom < 2; ++atom) {
             prog.atom = atom;
-            auto seg = e.bit == 1 ? follow_B(w, kit, e.traj_param)
-                                  : follow_A(w, kit, e.traj_param);
-            while (seg.next()) {
-              ++prog.moves;
-              co_yield seg.value();
+            // Not `co_yield cond ? B : A`: GCC 12 frees the spliced frame
+            // of a conditional co_yield operand twice.
+            if (e.bit == 1) {
+              co_yield follow_B(w, kit, e.traj_param);
+            } else {
+              co_yield follow_A(w, kit, e.traj_param);
             }
           }
           break;
-        case RvPart::Border: {
-          auto border = follow_K(w, kit, e.traj_param);
-          while (border.next()) {
-            ++prog.moves;
-            co_yield border.value();
-          }
+        case RvPart::Border:
+          co_yield follow_K(w, kit, e.traj_param);
           break;
-        }
-        case RvPart::Fence: {
-          auto fence = follow_Omega(w, kit, e.traj_param);
-          while (fence.next()) {
-            ++prog.moves;
-            co_yield fence.value();
-          }
+        case RvPart::Fence:
+          co_yield follow_Omega(w, kit, e.traj_param);
           ++prog.fences_completed;
           ++prog.pieces_completed;
           break;
-        }
       }
     }
   }

@@ -33,7 +33,6 @@ struct RvProgress {
   int atom = 0;                     ///< 0 or 1: which atom of the segment
   std::uint64_t fences_completed = 0;
   std::uint64_t pieces_completed = 0;
-  std::uint64_t moves = 0;          ///< total edge traversals yielded so far
 };
 
 /// One structural element of the RV route (the walk-free view).

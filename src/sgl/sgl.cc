@@ -140,12 +140,10 @@ Generator<Move> SglAgent::behavior() {
     {
       TrailScope scope(detour, phase1_trail);
       esst_active_ = true;
-      auto esst = esst_route(detour, kit, esst_io_, esst_result_);
-      while (esst.next()) co_yield esst.value();
+      co_yield esst_route(detour, kit, esst_io_, esst_result_);
       esst_active_ = false;
     }
-    auto back = follow_reverse(detour, phase1_trail);
-    while (back.next()) co_yield back.value();
+    co_yield follow_reverse(detour, phase1_trail);
     ASYNCRV_CHECK(detour.node() == walker_.node());
   }
   const std::uint64_t t_bound = esst_result_.phase;  // certified: n < t
@@ -184,10 +182,7 @@ Generator<Move> SglAgent::behavior() {
 
     // Collection double-sweep X(t, s) = R(t, s) + backtrack.
     const Bag before = bag_;
-    {
-      auto x = follow_X(walker_, kit, t_bound);
-      while (x.next()) co_yield x.value();
-    }
+    co_yield follow_X(walker_, kit, t_bound);
     if (min_known_label() < label_) continue;  // robust demotion
     if (cfg.robust_phase3 && bag_ != before) continue;  // still learning
 
@@ -195,17 +190,11 @@ Generator<Move> SglAgent::behavior() {
     // double-sweep, then output.
     final_known_ = true;
     maybe_output();
-    {
-      auto x = follow_X(walker_, kit, t_bound);
-      while (x.next()) co_yield x.value();
-    }
+    co_yield follow_X(walker_, kit, t_bound);
     if (!cfg.robust_phase3) co_return;
     // Robust mode: keep sweeping until every agent has output, so that
     // late ghosts (explorers that demote after this point) are informed.
-    while (!run_->sim().all_done()) {
-      auto x = follow_X(walker_, kit, t_bound);
-      while (x.next()) co_yield x.value();
-    }
+    while (!run_->sim().all_done()) co_yield follow_X(walker_, kit, t_bound);
     co_return;
   }
 }

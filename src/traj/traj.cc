@@ -25,34 +25,25 @@ Generator<Move> follow_X(Walker& w, const TrajKit& kit, std::uint64_t k) {
   Trail trail;
   {
     TrailScope scope(w, trail);
-    auto fwd = follow_R(w, kit, k);
-    while (fwd.next()) co_yield fwd.value();
+    co_yield follow_R(w, kit, k);
   }
-  auto rev = follow_reverse(w, trail);
-  while (rev.next()) co_yield rev.value();
+  co_yield follow_reverse(w, trail);
 }
 
 Generator<Move> follow_Q(Walker& w, const TrajKit& kit, std::uint64_t k) {
-  for (std::uint64_t i = 1; i <= k; ++i) {
-    auto x = follow_X(w, kit, i);
-    while (x.next()) co_yield x.value();
-  }
+  for (std::uint64_t i = 1; i <= k; ++i) co_yield follow_X(w, kit, i);
 }
 
 Generator<Move> follow_Yprime(Walker& w, const TrajKit& kit, std::uint64_t k) {
   RStepper trunk(kit.uxs());
   const std::uint64_t len = kit.uxs().length(k);
-  {
-    auto q = follow_Q(w, kit, k);
-    while (q.next()) co_yield q.value();
-  }
+  co_yield follow_Q(w, kit, k);
   for (std::uint64_t i = 0; i < len; ++i) {
     const Port p = trunk.next_port(w.degree());
     Move m = w.take(p);
     trunk.advance(m);
     co_yield m;
-    auto q = follow_Q(w, kit, k);
-    while (q.next()) co_yield q.value();
+    co_yield follow_Q(w, kit, k);
   }
 }
 
@@ -60,34 +51,25 @@ Generator<Move> follow_Y(Walker& w, const TrajKit& kit, std::uint64_t k) {
   Trail trail;
   {
     TrailScope scope(w, trail);
-    auto fwd = follow_Yprime(w, kit, k);
-    while (fwd.next()) co_yield fwd.value();
+    co_yield follow_Yprime(w, kit, k);
   }
-  auto rev = follow_reverse(w, trail);
-  while (rev.next()) co_yield rev.value();
+  co_yield follow_reverse(w, trail);
 }
 
 Generator<Move> follow_Z(Walker& w, const TrajKit& kit, std::uint64_t k) {
-  for (std::uint64_t i = 1; i <= k; ++i) {
-    auto y = follow_Y(w, kit, i);
-    while (y.next()) co_yield y.value();
-  }
+  for (std::uint64_t i = 1; i <= k; ++i) co_yield follow_Y(w, kit, i);
 }
 
 Generator<Move> follow_Aprime(Walker& w, const TrajKit& kit, std::uint64_t k) {
   RStepper trunk(kit.uxs());
   const std::uint64_t len = kit.uxs().length(k);
-  {
-    auto z = follow_Z(w, kit, k);
-    while (z.next()) co_yield z.value();
-  }
+  co_yield follow_Z(w, kit, k);
   for (std::uint64_t i = 0; i < len; ++i) {
     const Port p = trunk.next_port(w.degree());
     Move m = w.take(p);
     trunk.advance(m);
     co_yield m;
-    auto z = follow_Z(w, kit, k);
-    while (z.next()) co_yield z.value();
+    co_yield follow_Z(w, kit, k);
   }
 }
 
@@ -95,11 +77,9 @@ Generator<Move> follow_A(Walker& w, const TrajKit& kit, std::uint64_t k) {
   Trail trail;
   {
     TrailScope scope(w, trail);
-    auto fwd = follow_Aprime(w, kit, k);
-    while (fwd.next()) co_yield fwd.value();
+    co_yield follow_Aprime(w, kit, k);
   }
-  auto rev = follow_reverse(w, trail);
-  while (rev.next()) co_yield rev.value();
+  co_yield follow_reverse(w, trail);
 }
 
 namespace {
@@ -112,9 +92,10 @@ namespace {
 /// The base depends only on (graph, kit, k, start node) and returns to its
 /// start, so every repetition takes the same exit ports. When the exact
 /// base length `base_len` is at most kReplayCapPorts, the first repetition
-/// is generated and its exit ports recorded; the others replay them through
-/// Walker::take, which appends to registered trails and counts moves
-/// exactly as regeneration does. Longer bases are regenerated each time.
+/// is pulled by hand (not spliced) so its exit ports can be recorded; the
+/// others replay them through Walker::take, which appends to registered
+/// trails and counts moves exactly as regeneration does. Longer bases are
+/// spliced afresh for every repetition.
 /// Nobody else moves the walker while the route is suspended (SGL walks its
 /// ESST detour on a walker of its own), so the recording is the period.
 template <typename MakeBase>
@@ -139,10 +120,7 @@ Generator<Move> repeat_base(Walker& w, u128 reps, SatU128 base_len,
       for (const Port p : period) co_yield w.take(p);
     }
   }
-  for (; done < reps; ++done) {
-    auto base = make_base(w);
-    while (base.next()) co_yield base.value();
-  }
+  for (; done < reps; ++done) co_yield make_base(w);
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 //
 // Every generator yields one Move (edge traversal) at a time and uses O(1)
 // amortized work per step; reversible sub-trajectories record a Trail (2
-// bytes per traversed edge) only for the part actually walked. Repetition
+// bytes per traversed edge) only for the part actually walked. Each level
+// splices its sub-trajectories (`co_yield follow_child(...)`, traj/gen.h),
+// so a move costs one coroutine resume however deep the nesting. Repetition
 // counts inside B, K and Ω come from the exact LengthCalculus and are
 // 128-bit — the generators are happy to represent routes that could never
 // be walked to completion, because the adversary (simulator) only ever

@@ -326,24 +326,40 @@ TEST(Traj, TrailRecordsEntryPortsAndReverses) {
   }
 }
 
+/// Y(3, v) spliced one level further down, as rv_route splices B and B's
+/// replay loop splices Y.
+Generator<Move> spliced_Y(Walker& w, const TrajKit& kit) {
+  co_yield follow_Y(w, kit, 3);
+}
+
 TEST(Traj, AbruptGeneratorDestructionUnregistersTrails) {
   Graph g = make_ring(6);
   TrajKit kit(PPoly::tiny(), 0x18);
-  Walker w(g, 0);
-  {
-    auto y = follow_Y(w, kit, 3);  // registers a trail internally
-    ASSERT_TRUE(y.next());
-    ASSERT_TRUE(y.next());
-    // Destroyed mid-flight here.
+  const std::uint64_t y_len = kit.lengths().Y(3).to_u64_clamped();
+  // Stop inside Y' (Y's trail and an X's trail registered, six frames
+  // deep), at its last move, and inside the reverse Y̅'.
+  for (const std::uint64_t pulls : {std::uint64_t{2}, std::uint64_t{57},
+                                    y_len / 2, y_len / 2 + 1, y_len - 1}) {
+    for (const bool outer : {false, true}) {
+      SCOPED_TRACE(std::to_string(pulls) + (outer ? " spliced" : " bare"));
+      Walker w(g, 0);
+      {
+        auto y = outer ? spliced_Y(w, kit) : follow_Y(w, kit, 3);
+        for (std::uint64_t i = 0; i < pulls; ++i) ASSERT_TRUE(y.next());
+        // Destroyed mid-flight here.
+      }
+      // The walker must be clean: a fresh trajectory registers its own
+      // trail and the old ones must not dangle (take() would write
+      // through them).
+      Trail t;
+      {
+        TrailScope scope(w, t);
+        w.take(0);
+      }
+      EXPECT_EQ(t.size(), 1u);
+      EXPECT_EQ(w.total_moves(), pulls + 1);
+    }
   }
-  // The walker must be clean: a fresh trajectory registers its own trail
-  // and the old one must not dangle (take() would write through it).
-  Trail t;
-  {
-    TrailScope scope(w, t);
-    w.take(0);
-  }
-  EXPECT_EQ(t.size(), 1u);
 }
 
 TEST(Traj, MoveCountTracksWalker) {
